@@ -51,7 +51,6 @@ from .pde import (
     forward_solve_linear,
     forward_solve_nonlinear,
     h1a_norm_sq,
-    omega_indicator,
 )
 from .verify import (
     InequalityReport,

@@ -4,7 +4,7 @@ term f, and the derived linearized potential c(t,x) = df/du(t,x,0)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,7 +132,6 @@ class NonlocalFactor:
 
     ell: Callable[[float], float]
     ell_prime: Callable[[float], float]
-    lipschitz_bound: float = field(init=False)
 
     def __post_init__(self):
         if abs(self.ell(0.0) - 1.0) > 1e-12:
@@ -141,7 +140,6 @@ class NonlocalFactor:
         dv = np.array([self.ell_prime(float(r)) for r in rs])
         if not np.isfinite(dv).all():
             raise ValueError("l' unbounded on sampled range")
-        self.lipschitz_bound = float(np.max(np.abs(dv)))
 
     @staticmethod
     def constant() -> "NonlocalFactor":

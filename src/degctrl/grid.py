@@ -60,11 +60,6 @@ class LogValue:
             return math.inf
         return math.exp(lg)
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.mantissa) and (
-            self.mantissa == 0.0 or math.isfinite(self.log_scale)
-        )
-
     def __add__(self, other: "LogValue") -> "LogValue":
         if self.is_zero():
             return other
@@ -84,10 +79,6 @@ class LogValue:
             # mantissa product left normal range; renormalize via logs
             return LogValue(1.0, self.log() + other.log())
         return LogValue(m, self.log_scale + other.log_scale)
-
-    def scaled(self, factor: float) -> "LogValue":
-        """Multiply by a plain nonnegative float."""
-        return LogValue(self.mantissa * factor, self.log_scale)
 
     def shifted(self, delta_log: float) -> "LogValue":
         """Multiply by exp(delta_log)."""
@@ -146,13 +137,6 @@ class SpaceTimeGrid:
         w = np.full(self.nt - 1, self.dt)
         w[0] += 0.5 * self.dt
         w[-1] += 0.5 * self.dt
-        return w
-
-    @property
-    def time_weights_full(self) -> np.ndarray:
-        """Plain trapezoid weights over all rows 0..nt; sums to T."""
-        w = np.full(self.nt + 1, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
         return w
 
 

@@ -17,8 +17,15 @@ import numpy as np
 
 from .coeffs import ProblemData
 from .errors import NewtonDivergence
-from .grid import LogValue, SpaceTimeGrid, integrate_space
-from .hum import LinearControlProblem, PenaltySchedule, solve_null_control, terminal_l2
+from .grid import LogValue, integrate_space
+from .hum import (
+    LinearControlProblem,
+    PenaltySchedule,
+    _effective_weights,
+    _weighted_norm,
+    solve_null_control,
+    terminal_l2,
+)
 from .pde import apply_operator, forward_solve_nonlinear
 
 __all__ = ["NewtonState", "residual_source", "local_null_control"]
@@ -58,28 +65,6 @@ def residual_source(
     return g
 
 
-def _residual_weights(prob: LinearControlProblem):
-    """Effective squared rho0 weights for measuring residual sources: same
-    shift-and-cap treatment as the control functional (exact weights
-    overflow; the shift is reported back through the LogValue)."""
-    lw = 2.0 * prob.fields.log_rho0
-    interior = slice(1, prob.grid.nt)
-    kappa2 = float(np.min(lw[interior]))
-    W = np.zeros_like(lw)
-    W[interior] = np.exp(np.minimum(lw[interior] - kappa2, prob.log_weight_cap))
-    return W, kappa2
-
-
-def _weighted_norm(
-    W: np.ndarray, kappa2: float, v: np.ndarray, grid: SpaceTimeGrid
-) -> LogValue:
-    wt = grid.interior_time_weights
-    d = grid.dual_widths
-    with np.errstate(over="ignore"):
-        val = float(np.einsum("j,ji,i->", wt, W[1:-1] * v[1:-1] ** 2, d))
-    return LogValue.from_float(val).shifted(kappa2)
-
-
 def local_null_control(
     pd: ProblemData,
     prob: LinearControlProblem,
@@ -87,41 +72,43 @@ def local_null_control(
     tol_newton: float = TOL_NEWTON,
     maxit: int = MAXIT_NEWTON,
 ):
-    """Outer Newton loop: returns (h, u_nonlinear, history).
+    """Outer Newton loop: returns (h, u_nonlinear, history, converged).
 
-    Raises NewtonDivergence after 3 consecutive residual-norm increases,
-    which is the numerical witness that the initial datum sits outside the
-    local controllability basin.
+    Raises NewtonDivergence after 3 consecutive increases of the step norm
+    ||g_k - g_{k-1}||, which is the numerical witness that the initial datum
+    sits outside the local controllability basin.  The residual norm ||g_k||
+    is not watched: it tends to a nonzero limit and may approach it from
+    below while the iteration converges.
     """
     grid = prob.grid
     u0 = pd.u0
-    W, kappa2 = _residual_weights(prob)
     c = prob.c
+    # residual sources are measured with the squared rho0 weights under the
+    # shift-and-cap of the control functional (the exact weights overflow)
+    lw = 2.0 * prob.fields.log_rho0
+    kappa2 = float(np.min(lw[1 : grid.nt]))
+    W = _effective_weights(lw, kappa2, prob)
 
     history: List[NewtonState] = []
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     h = None
     g_prev = None
-    prev_res: Optional[LogValue] = None
+    prev_step: Optional[LogValue] = None
     grow = 0
     converged = False
 
     for k in range(maxit):
         g = residual_source(u, pd, c, prob)
         res_norm = _weighted_norm(W, kappa2, g, grid)
-        if prev_res is not None and not prev_res.is_zero():
-            if res_norm.ratio(prev_res).log() > 0.0:
-                grow += 1
-                if grow >= 3:
-                    raise NewtonDivergence(
-                        f"residual norm grew {grow} consecutive iterations "
-                        f"(iteration {k}); initial datum outside the local basin"
-                    )
-            else:
-                grow = 0
         step_norm = None
         if g_prev is not None:
             step_norm = _weighted_norm(W, kappa2, g - g_prev, grid)
+            grow = grow + 1 if prev_step is not None and prev_step < step_norm else 0
+            if grow >= 3:
+                raise NewtonDivergence(
+                    f"step norm grew {grow} consecutive iterations "
+                    f"(iteration {k}); initial datum outside the local basin"
+                )
         result = solve_null_control(g, u0, schedule, prob)
         u, h = result.u, result.h
         history.append(
@@ -139,7 +126,7 @@ def local_null_control(
                 converged = True
                 break
         g_prev = g
-        prev_res = res_norm
+        prev_step = step_norm
 
     u_nl = forward_solve_nonlinear(pd, h, grid, prob.op)
     history[-1].terminal_norm_nonlinear = terminal_l2(u_nl, grid)

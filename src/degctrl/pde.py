@@ -5,15 +5,19 @@ midpoints, which is symmetric and negative semidefinite in the dual-cell
 weighted inner product.  The backward solver is the exact discrete adjoint of
 the forward map (discretize-then-optimize), which the control iterations
 rely on.
+
+Each implicit step is a LAPACK tridiagonal solve: dgttrs with the step
+matrix factored once per call (dgttrf) in the linear solvers, dgtsv in the
+Picard stepper, whose matrix changes with every inner iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .coeffs import DegeneracyCoefficient, ProblemData
 from .errors import PicardDivergence
@@ -26,7 +30,6 @@ __all__ = [
     "forward_solve_linear",
     "adjoint_solve",
     "forward_solve_nonlinear",
-    "omega_indicator",
     "duality_pairing",
     "h1a_norm_sq",
 ]
@@ -85,19 +88,39 @@ def apply_operator(op: DegenerateOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_matrix_banded(op: DegenerateOperator, dt: float, c_row: np.ndarray):
-    """Banded form of I/dt - L + diag(c) on interior nodes."""
-    n = op.diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -op.upper[:-1]
-    ab[1, :] = 1.0 / dt - op.diag + c_row
-    ab[2, :-1] = -op.lower[1:]
-    return ab
+def _step_bands(op: DegenerateOperator, dt: float, ell: float, c_row):
+    """(lower, diag, upper) bands of I/dt - ell*L + diag(c_row) on interior
+    nodes, in the layout of LAPACK's tridiagonal routines."""
+    return -ell * op.lower[1:], 1.0 / dt - ell * op.diag + c_row, -ell * op.upper[:-1]
 
 
-def omega_indicator(omega, grid: SpaceTimeGrid) -> np.ndarray:
-    xl, xr = omega
-    return ((grid.x >= xl) & (grid.x <= xr)).astype(float)
+def _raise_if_singular(info: int) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular step matrix (zero pivot at row {info})")
+
+
+def _step_factors(op: DegenerateOperator, dt: float, c: np.ndarray) -> list:
+    """dgttrf factors of the step matrix of rows j = 1..nt, at index j - 1.
+
+    When c is the same in every row (every built-in f gives such a c), all
+    rows share one factorization.
+    """
+    rows = c[1:, 1:-1]
+
+    def factor(c_row):
+        *lu, info = dgttrf(*_step_bands(op, dt, 1.0, c_row))
+        _raise_if_singular(info)
+        return lu
+
+    if (rows == rows[0]).all():
+        return [factor(rows[0])] * len(rows)
+    return [factor(c_row) for c_row in rows]
+
+
+def _require_finite(traj: np.ndarray) -> np.ndarray:
+    if not np.isfinite(traj).all():
+        raise ValueError("non-finite values in the solved trajectory")
+    return traj
 
 
 def forward_solve_linear(
@@ -113,21 +136,21 @@ def forward_solve_linear(
     c, g, h are (nt+1, nx+1) tabulations (g/h may be None for zero); h is
     used as given — restriction to the control window is the caller's job.
     Returns the full (nt+1, nx+1) trajectory with exact Dirichlet rows.
+    Raises LinAlgError for a singular step matrix and ValueError for a
+    non-finite trajectory.
     """
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     u = np.zeros((nt + 1, nx + 1))
-    u[0] = u0
-    u[0, 0] = 0.0
-    u[0, -1] = 0.0
+    u[0, 1:-1] = u0[1:-1]
+    lus = _step_factors(op, dt, c)
     for j in range(1, nt + 1):
         rhs = u[j - 1, 1:-1] / dt
         if h is not None:
-            rhs = rhs + h[j, 1:-1]
+            rhs += h[j, 1:-1]
         if g is not None:
-            rhs = rhs + g[j, 1:-1]
-        ab = _step_matrix_banded(op, dt, c[j, 1:-1])
-        u[j, 1:-1] = solve_banded((1, 1), ab, rhs)
-    return u
+            rhs += g[j, 1:-1]
+        u[j, 1:-1] = dgttrs(*lus[j - 1], rhs, overwrite_b=1)[0]
+    return _require_finite(u)
 
 
 def adjoint_solve(
@@ -139,29 +162,23 @@ def adjoint_solve(
 ) -> np.ndarray:
     """Backward implicit Euler for -p_t - (a p_x)_x + c p = source.
 
-    Exact discrete adjoint of forward_solve_linear: with p[nt] = 0,
-    sum_j dt*(source_j, u_j)_D = sum_j dt*(p_j, h_j)_D for u the forward
-    solution with u0 = 0.  The step at row j uses the forward step matrix of
-    row j itself; p[nt] is the terminal condition (default 0), and the
-    backward recursion fills rows nt-1 .. 0 as p_j = M_{j+1}^{-1}(p_{j+1}/dt
-    + source_{j+1}) shifted so that p_j pairs with forward row j+1... kept in
-    the convention p[j] solves M_j p[j] = p[j+1]/dt + source[j] for j = nt..1
-    and p[0] = p[1] (no equation at j=0; row 0 never enters the pairing).
+    With p_{nt+1} = terminal (default 0), rows j = nt, ..., 1 solve
+    M_j p_j = p_{j+1}/dt + source_j, where M_j = I/dt - L + diag(c_j) is the
+    forward step matrix of row j, and p_0 = p_1.  For terminal = 0 this is
+    the exact discrete adjoint of forward_solve_linear:
+    duality_pairing(source, u) = duality_pairing(p, h) for u the forward
+    solution with u0 = 0 and control h.  Raises like forward_solve_linear.
     """
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     p = np.zeros((nt + 1, nx + 1))
-    if terminal is not None:
-        p[nt] = terminal
-        p[nt, 0] = 0.0
-        p[nt, -1] = 0.0
-    p_next = p[nt, 1:-1]
+    p_next = np.zeros(nx - 1) if terminal is None else np.asarray(terminal)[1:-1]
+    lus = _step_factors(op, dt, c)
     for j in range(nt, 0, -1):
         rhs = p_next / dt + source[j, 1:-1]
-        ab = _step_matrix_banded(op, dt, c[j, 1:-1])
-        p[j, 1:-1] = solve_banded((1, 1), ab, rhs)
-        p_next = p[j, 1:-1]
+        p_next = dgttrs(*lus[j - 1], rhs, overwrite_b=1)[0]
+        p[j, 1:-1] = p_next
     p[0] = p[1]
-    return p
+    return _require_finite(p)
 
 
 def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid):
@@ -189,9 +206,7 @@ def forward_solve_nonlinear(
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     x = grid.x
     u = np.zeros((nt + 1, nx + 1))
-    u[0] = pd.u0
-    u[0, 0] = 0.0
-    u[0, -1] = 0.0
+    u[0, 1:-1] = pd.u0[1:-1]
     f, df = pd.f.f, pd.f.df_du
     ell = pd.ell.ell
 
@@ -207,13 +222,14 @@ def forward_solve_nonlinear(
             fk = np.asarray(f(tj, x[1:-1], uk[1:-1]), dtype=float)
             dfk = np.asarray(df(tj, x[1:-1], uk[1:-1]), dtype=float)
             rhs = base - fk + dfk * uk[1:-1]
-            n = op.diag.size
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -lk * op.upper[:-1]
-            ab[1, :] = 1.0 / dt - lk * op.diag + dfk
-            ab[2, :-1] = -lk * op.lower[1:]
+            *_, x_new, info = dgtsv(*_step_bands(op, dt, lk, dfk), rhs)
+            _raise_if_singular(info)
+            if not np.isfinite(x_new).all():
+                raise PicardDivergence(
+                    f"non-finite inner iterate at t={tj:.4g} (iteration {it})"
+                )
             unew = np.zeros_like(uk)
-            unew[1:-1] = solve_banded((1, 1), ab, rhs)
+            unew[1:-1] = x_new
             scale = max(float(np.max(np.abs(unew))), 1e-300)
             inc = float(np.max(np.abs(unew - uk))) / scale
             uk = unew

@@ -5,7 +5,9 @@ from degctrl import (
     NewtonDivergence,
     forward_solve_linear,
     forward_solve_nonlinear,
+    integrate_space,
     local_null_control,
+    random_profile,
     residual_source,
 )
 from degctrl.hum import PenaltySchedule
@@ -80,3 +82,21 @@ class TestOuterIteration:
         sched = PenaltySchedule(ns=(1.0, 100.0, 1e4, 1e6))
         with pytest.raises(NewtonDivergence):
             local_null_control(pd, bench32, sched)
+
+    def test_converges_while_residual_norm_rises(self, bench64):
+        # a free random datum at the default norm whose residual norm ||g_k||
+        # rises to its limit (logs 151.658 -> 151.750 -> 151.753 -> 151.753)
+        # while the step norm falls: the iteration converges and must not be
+        # declared divergent
+        grid = bench64.grid
+        pd = make_nonlinear_problem(grid, amplitude=1.0)
+        u0 = random_profile(grid, np.random.default_rng([10, 0]))
+        u0[0] = u0[-1] = 0.0
+        u0 *= np.sqrt(integrate_space(pd.u0**2, grid) / integrate_space(u0**2, grid))
+        pd.u0 = u0
+        h, u_nl, history, converged = local_null_control(pd, bench64, PenaltySchedule())
+        assert converged
+        residual = [st.residual_norm.log() for st in history[1:]]
+        assert residual[-1] > residual[0]
+        u0_norm = np.sqrt(integrate_space(u0**2, grid))
+        assert history[-1].terminal_norm_nonlinear <= 1e-3 * u0_norm

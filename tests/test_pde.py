@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from degctrl import (
     NonlocalFactor,
@@ -118,6 +121,117 @@ class TestForwardSolve:
         h = np.zeros((grid.nt + 1, grid.nx + 1))
         with pytest.raises(PicardDivergence):
             forward_solve_nonlinear(pd, h, grid, op, maxit=10)
+
+
+def _reference_step(op, dt, c_row, rhs):
+    """One implicit step with a freshly assembled banded matrix, per row."""
+    n = op.diag.size
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -op.upper[:-1]
+    ab[1, :] = 1.0 / dt - op.diag + c_row
+    ab[2, :-1] = -op.lower[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _reference_forward(c, g, h, u0, grid, op):
+    u = np.zeros((grid.nt + 1, grid.nx + 1))
+    u[0, 1:-1] = u0[1:-1]
+    for j in range(1, grid.nt + 1):
+        rhs = u[j - 1, 1:-1] / grid.dt
+        if h is not None:
+            rhs = rhs + h[j, 1:-1]
+        if g is not None:
+            rhs = rhs + g[j, 1:-1]
+        u[j, 1:-1] = _reference_step(op, grid.dt, c[j, 1:-1], rhs)
+    return u
+
+
+def _reference_adjoint(source, c, grid, op, terminal):
+    p = np.zeros((grid.nt + 1, grid.nx + 1))
+    p_next = terminal[1:-1]
+    for j in range(grid.nt, 0, -1):
+        rhs = p_next / grid.dt + source[j, 1:-1]
+        p[j, 1:-1] = p_next = _reference_step(op, grid.dt, c[j, 1:-1], rhs)
+    p[0] = p[1]
+    return p
+
+
+class TestStepKernel:
+    """The factored LAPACK kernel against a per-row banded solve."""
+
+    @pytest.mark.parametrize("c_kind", ["constant", "time_varying"])
+    def test_bit_identical_to_per_row_banded_solve(self, c_kind):
+        grid = build_grid(24, 20, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        rng = np.random.default_rng(11)
+        shape = (grid.nt + 1, grid.nx + 1)
+        c = np.full(shape, 0.7) if c_kind == "constant" else rng.random(shape)
+        g, h, s = (rng.standard_normal(shape) for _ in range(3))
+        u0 = np.sin(np.pi * grid.x)
+        terminal = np.zeros(grid.nx + 1)
+        terminal[1:-1] = rng.standard_normal(grid.nx - 1)
+        for gg, hh in ((g, h), (None, h), (g, None), (None, None)):
+            assert np.array_equal(
+                forward_solve_linear(c, gg, hh, u0, grid, op),
+                _reference_forward(c, gg, hh, u0, grid, op),
+            )
+        assert np.array_equal(
+            adjoint_solve(s, c, grid, op),
+            _reference_adjoint(s, c, grid, op, np.zeros_like(terminal)),
+        )
+        assert np.array_equal(
+            adjoint_solve(s, c, grid, op, terminal=terminal),
+            _reference_adjoint(s, c, grid, op, terminal),
+        )
+
+    def test_singular_step_matrix(self):
+        # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes
+        grid = build_grid(8, 4, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        zero = dataclasses.replace(
+            op, lower=0.0 * op.lower, diag=0.0 * op.diag, upper=0.0 * op.upper
+        )
+        shape = (grid.nt + 1, grid.nx + 1)
+        c = np.full(shape, -1.0 / grid.dt)
+        u0 = np.sin(np.pi * grid.x)
+        with pytest.raises(np.linalg.LinAlgError):
+            forward_solve_linear(c, None, None, u0, grid, zero)
+        c_varying = c + np.linspace(0.0, 1.0, grid.nt + 1)[:, None]
+        c_varying[-1] = -1.0 / grid.dt
+        with pytest.raises(np.linalg.LinAlgError):
+            adjoint_solve(np.ones(shape), c_varying, grid, zero)
+        pd = ProblemData(
+            a=power_coefficient(0.5),
+            ell=NonlocalFactor.constant(),
+            f=SemilinearTerm.linear(-1.0 / grid.dt),
+            omega=(0.3, 0.8),
+            T=1.0,
+            u0=u0,
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            forward_solve_nonlinear(pd, None, grid, zero)
+
+    def test_non_finite_linear_result(self):
+        grid = build_grid(8, 4, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        shape = (grid.nt + 1, grid.nx + 1)
+        c = np.ones(shape)
+        bad = np.zeros(shape)
+        bad[2, 3] = np.inf
+        with pytest.raises(ValueError):
+            forward_solve_linear(c, None, bad, np.zeros(grid.nx + 1), grid, op)
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError):
+            adjoint_solve(bad, c, grid, op)
+
+    def test_non_finite_picard_iterate(self):
+        grid = build_grid(8, 4, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        pd = make_nonlinear_problem(grid, amplitude=0.1)
+        h = np.zeros((grid.nt + 1, grid.nx + 1))
+        h[1, 3] = np.inf
+        with pytest.raises(PicardDivergence, match="non-finite"):
+            forward_solve_nonlinear(pd, h, grid, op)
 
 
 class TestAdjointDuality:
