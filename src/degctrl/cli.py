@@ -100,13 +100,14 @@ def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
 
 
 def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig) -> None:
-    grid = cfg.grid
-    rows = [
-        (grid.t[j], grid.x[i], u[j, i])
-        for j in range(grid.nt + 1)
-        for i in range(grid.nx + 1)
-    ]
-    write_csv(os.path.join(out, name), ["t", "x", "u"], rows)
+    """Rows t,x,u in write_csv's format, streamed one time level at a time."""
+    xs = [repr(v) + "," for v in cfg.grid.x.tolist()]
+    with open(os.path.join(out, name), "w", newline="\n") as fh:
+        fh.write("t,x,u\n")
+        for tj, row in zip(cfg.grid.t.tolist(), u):
+            head = repr(tj) + ","
+            vals = map(repr, row.tolist())
+            fh.write("".join([head + xi + v + "\n" for xi, v in zip(xs, vals)]))
 
 
 def cmd_solve_forward(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
@@ -168,6 +169,7 @@ def cmd_null_control(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
             "terminal_norm": res.terminal_norm,
             "initial_norm": u0_norm,
             "reduction": res.terminal_norm / u0_norm,
+            "stages_run": len(res.stages),
             "success": res.success,
             "wall_seconds": wall,
         },

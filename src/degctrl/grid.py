@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,26 +118,30 @@ class SpaceTimeGrid:
     def dt(self) -> float:
         return float(self.t[-1]) / self.nt
 
-    @property
+    @cached_property
     def dual_widths(self) -> np.ndarray:
-        """Trapezoid (dual-cell) weights in space; sums to 1."""
+        """Trapezoid (dual-cell) weights in space; sums to 1.  Computed once
+        per grid and read-only."""
         d = np.empty(self.nx + 1)
         d[0] = 0.5 * (self.x[1] - self.x[0])
         d[-1] = 0.5 * (self.x[-1] - self.x[-2])
         d[1:-1] = 0.5 * (self.x[2:] - self.x[:-2])
+        d.setflags(write=False)
         return d
 
-    @property
+    @cached_property
     def interior_time_weights(self) -> np.ndarray:
         """Quadrature weights for interior time rows j = 1..nt-1; sums to T.
 
         The endpoint rows are excluded (the weighted integrands are improper
         there); the first and last interior rows absorb the boundary
         half-cells, so a constant integrand still integrates to exactly T.
+        Computed once per grid and read-only.
         """
         w = np.full(self.nt - 1, self.dt)
         w[0] += 0.5 * self.dt
         w[-1] += 0.5 * self.dt
+        w.setflags(write=False)
         return w
 
 

@@ -1,9 +1,12 @@
 import json
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from degctrl.cli import main
+from degctrl import build_grid
+from degctrl.cli import _write_trajectory, main, write_csv
 from degctrl.config import parse_config
 from degctrl.errors import ConfigError
 
@@ -101,6 +104,8 @@ class TestPipelines:
             "n,cg_iters,Jn_mantissa,Jn_logscale,terminal_norm,"
             "ctrl_weighted_norm_log,state_weighted_norm_log"
         )
+        rows = len((out / "stages.csv").read_text().splitlines()) - 1
+        assert json.loads((out / "summary.json").read_text())["stages_run"] == rows
 
     def test_verify_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -128,3 +133,22 @@ class TestPipelines:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "axis,value,exit_code,metric,wall_seconds"
         assert len(lines) == 3
+
+
+class TestTrajectoryWriter:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        grid = build_grid(7, 5, 0.7, gamma=2.5)
+        u = np.random.default_rng(1).standard_normal((grid.nt + 1, grid.nx + 1))
+        u[1, :6] = [-0.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308 / 3, -1e-320]
+        u[2, 0] = 0.1 + 0.2
+        u[0] = 0.0
+        _write_trajectory(str(tmp_path), "new.csv", u, SimpleNamespace(grid=grid))
+        rows = [
+            (grid.t[j], grid.x[i], u[j, i])
+            for j in range(grid.nt + 1)
+            for i in range(grid.nx + 1)
+        ]
+        write_csv(str(tmp_path / "old.csv"), ["t", "x", "u"], rows)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b",-0.0\n" in new and b",1e-05\n" in new and b",5e-324\n" in new

@@ -62,6 +62,10 @@ class TestGrid:
         g = build_grid(17, 5, 2.0, gamma=1.5)
         assert g.dual_widths.sum() == pytest.approx(1.0)
         assert g.interior_time_weights.sum() == pytest.approx(g.T)
+        # computed once per grid and shared read-only with every caller
+        assert g.dual_widths is g.dual_widths
+        assert not g.dual_widths.flags.writeable
+        assert not g.interior_time_weights.flags.writeable
 
     def test_trapezoid_exact_for_affine(self):
         g = build_grid(13, 4, 1.0, gamma=2.0)

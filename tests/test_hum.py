@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,12 @@ from degctrl import (
     solve_null_control,
     terminal_l2,
 )
+from degctrl import hum
+from degctrl.cli import _control_problem
+from degctrl.config import load_config
 from degctrl.hum import _control_inner
+
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
 
 
 class TestSchedule:
@@ -153,3 +160,55 @@ class TestContinuation:
         sched = PenaltySchedule(ns=(1.0, 100.0, 1e4, 1e6))
         res = solve_null_control(None, u0, sched, bench32)
         assert res.terminal_norm < 0.1 * terminal_l2(u_free, grid)
+
+
+def _sine_datum(grid):
+    u0 = np.sin(np.pi * grid.x)
+    u0[0] = u0[-1] = 0.0
+    return u0
+
+
+class TestEarlyStop:
+    def test_stages_end_at_first_rejection(self, bench32):
+        res = solve_null_control(None, _sine_datum(bench32.grid), PenaltySchedule(), bench32)
+        assert len(res.stages) < len(PenaltySchedule().ns)
+        assert not res.stages[-1].accepted
+        assert all(st.accepted for st in res.stages[:-1])
+
+    def test_matches_accepted_prefix(self, bench32):
+        u0 = _sine_datum(bench32.grid)
+        full = PenaltySchedule()
+        res = solve_null_control(None, u0, full, bench32)
+        prefix = PenaltySchedule(ns=full.ns[: len(res.stages) - 1])
+        ref = solve_null_control(None, u0, prefix, bench32)
+        assert all(st.accepted for st in ref.stages)
+        assert np.array_equal(res.h, ref.h) and np.array_equal(res.u, ref.u)
+        assert res.terminal_norm == ref.terminal_norm
+
+    def test_all_accepted_runs_every_stage(self, bench16):
+        sched = PenaltySchedule()
+        res = solve_null_control(None, _sine_datum(bench16.grid), sched, bench16)
+        assert [st.n for st in res.stages] == list(sched.ns)
+        assert all(st.accepted for st in res.stages)
+
+
+class TestDefaultConfigCounts:
+    def test_default_config_work(self, monkeypatch):
+        cfg = load_config(DEFAULT_CONFIG)
+        counts = {"forward": 0, "adjoint": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for key, name in (("forward", "forward_solve_linear"), ("adjoint", "adjoint_solve")):
+            monkeypatch.setattr(hum, name, counted(key, getattr(hum, name)))
+        res = solve_null_control(None, cfg.problem.u0, cfg.schedule, _control_problem(cfg))
+        assert len(res.stages) == 4
+        assert sum(st.cg_iters for st in res.stages) == 114
+        assert sum(st.cg_iters for st in res.stages if st.accepted) == 57
+        assert counts == {"forward": 130, "adjoint": 122}
+        assert res.terminal_norm == 1.3510086562140113e-05
