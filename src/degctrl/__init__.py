@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     DegctrlError,
     NewtonDivergence,
+    NonFiniteTrajectory,
     NonMonotone,
     NotVanishing,
     PicardDivergence,

@@ -28,6 +28,7 @@ from .errors import (
     AdmissibilityFail,
     ConfigError,
     NewtonDivergence,
+    NonFiniteTrajectory,
     PicardDivergence,
     SourceWeightDivergence,
     ZeroDenominator,
@@ -227,9 +228,7 @@ def cmd_null_control_nonlinear(cfg: ExperimentConfig, out: str, quiet: bool) -> 
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
-def cmd_verify(cfg: ExperimentConfig, out: str, quiet: bool, seed=None) -> int:
-    if seed is not None:
-        cfg.verify_seed = seed
+def cmd_verify(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     t0 = time.perf_counter()
     rows, all_pass = run_verifications(cfg, _build_fields)
     wall = time.perf_counter() - t0
@@ -248,10 +247,10 @@ def cmd_verify(cfg: ExperimentConfig, out: str, quiet: bool, seed=None) -> int:
 
 
 _SWEEP_BASES = {
+    "solve-forward": cmd_solve_forward,
     "null-control": cmd_null_control,
     "null-control-nonlinear": cmd_null_control_nonlinear,
     "verify": cmd_verify,
-    "solve-forward": cmd_solve_forward,
 }
 
 
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "degenerate nonlocal parabolic problems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve-forward", "null-control", "null-control-nonlinear", "verify", "sweep"):
+    for name in (*_SWEEP_BASES, "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory")
@@ -350,20 +349,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            # through the raw config, so summary.json and sweep runs see it too
+            cfg = parse_config(_set_path(cfg.raw, "verify.seed", args.seed))
         out = _resolve_out(cfg, args.out)
-        if args.command == "solve-forward":
-            return cmd_solve_forward(cfg, out, args.quiet)
-        if args.command == "null-control":
-            return cmd_null_control(cfg, out, args.quiet)
-        if args.command == "null-control-nonlinear":
-            return cmd_null_control_nonlinear(cfg, out, args.quiet)
-        if args.command == "verify":
-            return cmd_verify(cfg, out, args.quiet, seed=args.seed)
-        return cmd_sweep(cfg, out, args.quiet, args)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, out, args.quiet, args)
+        return _SWEEP_BASES[args.command](cfg, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PicardDivergence, NewtonDivergence, SourceWeightDivergence) as exc:
+    except (
+        PicardDivergence, NewtonDivergence, SourceWeightDivergence, NonFiniteTrajectory
+    ) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (AdmissibilityFail, ZeroDenominator) as exc:

@@ -202,6 +202,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cap = float(_get(hum, "log_weight_cap", "hum.log_weight_cap", (int, float), low=1.0))
 
     nwt = merged["newton"]
+    newton_tol = float(_get(nwt, "tol", "newton.tol", (int, float)))
+    if not newton_tol > 0.0:  # also rejects NaN
+        raise ConfigError("newton.tol", f"must be > 0, got {newton_tol}")
     ver = merged["verify"]
     checks = _get(ver, "checks", "verify.checks", list)
     from .verify import KNOWN_CHECKS
@@ -222,10 +225,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         M_fraction=mfrac,
         schedule=schedule,
         log_weight_cap=cap,
-        newton_tol=float(_get(nwt, "tol", "newton.tol", (int, float), low=0.0)),
+        newton_tol=newton_tol,
         newton_maxit=_get(nwt, "maxit", "newton.maxit", int, low=1),
         verify_checks=[str(x) for x in checks],
-        verify_seed=_get(ver, "seed", "verify.seed", int),
+        verify_seed=_get(ver, "seed", "verify.seed", int, low=0),
         verify_ensemble=_get(ver, "ensemble", "verify.ensemble", int, low=1),
         out_dir=out,
     )

@@ -34,6 +34,10 @@ class NewtonDivergence(DegctrlError):
     local convergence basin)."""
 
 
+class NonFiniteTrajectory(DegctrlError, ValueError):
+    """A linear solve produced NaN or inf (data or controls beyond float64)."""
+
+
 class SourceWeightDivergence(DegctrlError):
     """Weighted norm of the source term is not a finite number."""
 

@@ -80,12 +80,10 @@ class StageWeights:
     common shift, so `value * exp(kappa2)` restores the reported scale.
     """
 
-    n: float
     W0: np.ndarray
     Wstar: np.ndarray
     kappa2: float
     mask: np.ndarray
-    fields: WeightFields
 
 
 @dataclass
@@ -120,7 +118,7 @@ def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
     kappa2 = min(float(np.min(lw0[interior])), float(np.min(lws[interior][:, mask])))
     W0 = _effective_weights(lw0, kappa2, prob)
     Wstar = _effective_weights(lws, kappa2, prob)
-    return StageWeights(n=float(n), W0=W0, Wstar=Wstar, kappa2=kappa2, mask=mask, fields=wf)
+    return StageWeights(W0=W0, Wstar=Wstar, kappa2=kappa2, mask=mask)
 
 
 def _effective_weights(
@@ -135,9 +133,7 @@ def _effective_weights(
 
 
 def _weighted_quad(W: np.ndarray, v: np.ndarray, grid: SpaceTimeGrid) -> float:
-    wt = grid.interior_time_weights
-    d = grid.dual_widths
-    return float(np.einsum("j,ji,i->", wt, W[1:-1] * v[1:-1] ** 2, d))
+    return _control_inner(W, v**2, grid)
 
 
 def _weighted_norm(
@@ -167,22 +163,6 @@ def _control_inner(a: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> float:
     return float(np.einsum("j,ji,i->", wt, a[1:-1] * b[1:-1], d))
 
 
-def _state_gradient(
-    u: np.ndarray, stage: StageWeights, prob: LinearControlProblem
-) -> np.ndarray:
-    """Adjoint representation of the derivative of the state term of J_n."""
-    grid = prob.grid
-    dt = grid.dt
-    wt = grid.interior_time_weights
-    s = np.zeros_like(u)
-    s[1:-1] = (wt[:, None] / dt) * stage.W0[1:-1] * u[1:-1]
-    p = adjoint_solve(s, prob.c, grid, prob.op)
-    grad = np.zeros_like(u)
-    grad[1:-1] = (dt / wt[:, None]) * p[1:-1]
-    grad[:, ~stage.mask] = 0.0
-    return grad
-
-
 def grad_Jn(
     h: np.ndarray,
     stage: StageWeights,
@@ -191,11 +171,24 @@ def grad_Jn(
     prob: LinearControlProblem,
 ):
     """Gradient of J_n with respect to h in the control-space inner product,
-    together with the forward state.  Zero gradient is the discrete coupling
-    between the adjoint and the optimal control."""
+    together with the forward state u(h; g, u0).
+
+    The state term enters through one adjoint solve with source W0 u, so
+    the gradient is Wstar h plus that adjoint state, restricted to the
+    control window.  Zero gradient is the discrete coupling between the
+    adjoint and the optimal control.  This is the only definition of the
+    control operator: with g = None and u0 = 0 it is the linear map A that
+    ``minimize_Jn`` inverts, and at h = 0 it is the right-hand side b.
+    """
     grid = prob.grid
+    dt = grid.dt
+    wt = grid.interior_time_weights
     u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
-    grad = _state_gradient(u, stage, prob)
+    s = np.zeros_like(u)
+    s[1:-1] = (wt[:, None] / dt) * stage.W0[1:-1] * u[1:-1]
+    p = adjoint_solve(s, prob.c, grid, prob.op)
+    grad = np.zeros_like(u)
+    grad[1:-1] = (dt / wt[:, None]) * p[1:-1]
     grad[1:-1] += stage.Wstar[1:-1] * h[1:-1]
     grad[:, ~stage.mask] = 0.0
     return grad, u
@@ -212,24 +205,22 @@ def minimize_Jn(
 ):
     """Preconditioned CG on the quadratic h -> J_n(h).
 
-    Uses the affine split u(h) = u_hom(h) + u_part(g, u0); the operator is
-    h -> Wstar h + (adjoint of the weighted state map) h, preconditioned by
-    the diagonal Wstar.  Returns (h, u, iters, converged, J_trace).
+    Both sides of the normal equations A h = -b come from ``grad_Jn``: by the
+    affine split u(h) = u_hom(h) + u_part(g, u0), A h is the gradient at
+    (g, u0) = (None, 0) and b is the gradient at h = 0.  A is preconditioned
+    by the diagonal Wstar, and CG stops once the preconditioned residual
+    r.z falls to tol**2 times its value at the (warm) start.  Returns
+    (h, u, iters, converged), u being the state of the returned control.
     """
     grid = prob.grid
-    zeros0 = np.zeros_like(prob.c[0])
+    zeros = np.zeros_like(prob.c)
 
     def apply_A(hv):
-        uh = forward_solve_linear(prob.c, None, hv, zeros0, grid, prob.op)
-        out = _state_gradient(uh, stage, prob)
-        out[1:-1] += stage.Wstar[1:-1] * hv[1:-1]
-        out[:, ~stage.mask] = 0.0
-        return out
+        return grad_Jn(hv, stage, None, zeros[0], prob)[0]
 
-    u_part = forward_solve_linear(prob.c, g, None, u0, grid, prob.op)
-    b = _state_gradient(u_part, stage, prob)  # gradient at h = 0
+    b = grad_Jn(zeros, stage, g, u0, prob)[0]
 
-    h = np.zeros_like(prob.c) if h_init is None else h_init.copy()
+    h = zeros.copy() if h_init is None else h_init.copy()
     h[:, ~stage.mask] = 0.0
     h[0] = 0.0
     h[-1] = 0.0
@@ -238,20 +229,11 @@ def minimize_Jn(
     z = np.zeros_like(r)
     z[1:-1] = r[1:-1] / stage.Wstar[1:-1]
     z[:, ~stage.mask] = 0.0
-    rz = _control_inner(r, z, grid)
-    rz0 = rz
-    u_full = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
-    j_eff = 0.5 * _weighted_quad(stage.W0, u_full, grid) + 0.5 * _weighted_quad(
-        stage.Wstar, h, grid
-    )
-    trace = [j_eff]
-    if rz0 <= 0.0:
-        return h, u_full, 0, True, trace
-
+    rz0 = rz = _control_inner(r, z, grid)
     p = z.copy()
-    converged = False
+    converged = rz0 <= 0.0
     iters = 0
-    for k in range(maxit):
+    while not converged and iters < maxit:
         Ap = apply_A(p)
         pAp = _control_inner(p, Ap, grid)
         if pAp <= 0.0:
@@ -259,21 +241,17 @@ def minimize_Jn(
         alpha = rz / pAp
         h += alpha * p
         r -= alpha * Ap
-        j_eff -= 0.5 * rz * rz / pAp
-        trace.append(j_eff)
-        iters = k + 1
+        iters += 1
         z[1:-1] = r[1:-1] / stage.Wstar[1:-1]
         z[:, ~stage.mask] = 0.0
         rz_new = _control_inner(r, z, grid)
         if rz_new <= tol**2 * rz0:
             converged = True
-            rz = rz_new
             break
-        beta = rz_new / rz
+        p = z + (rz_new / rz) * p
         rz = rz_new
-        p = z + beta * p
-    u_full = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
-    return h, u_full, iters, converged, trace
+    u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
+    return h, u, iters, converged
 
 
 def terminal_l2(u: np.ndarray, grid: SpaceTimeGrid) -> float:
@@ -302,7 +280,7 @@ def solve_null_control(
     stages: List[StageDiagnostics] = []
     for n in schedule.ns:
         stage = build_stage(prob, n)
-        h_new, u_new, iters, converged, _ = minimize_Jn(
+        h_new, u_new, iters, converged = minimize_Jn(
             stage, g, u0, h, prob, tol=schedule.cg_tol, maxit=schedule.cg_maxit
         )
         raw = terminal_l2(u_new, grid)
@@ -323,7 +301,7 @@ def solve_null_control(
                 cg_iters=iters,
                 converged=converged,
                 Jn=jn,
-                terminal_norm=terminal_l2(u, grid),
+                terminal_norm=best,
                 ctrl_weighted_norm=cw,
                 state_weighted_norm=sw,
                 raw_terminal_norm=raw,

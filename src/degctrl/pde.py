@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .coeffs import DegeneracyCoefficient, ProblemData
-from .errors import PicardDivergence
+from .errors import NonFiniteTrajectory, PicardDivergence
 from .grid import SpaceTimeGrid, integrate_space
 
 __all__ = [
@@ -119,7 +119,7 @@ def _step_factors(op: DegenerateOperator, dt: float, c: np.ndarray) -> list:
 
 def _require_finite(traj: np.ndarray) -> np.ndarray:
     if not np.isfinite(traj).all():
-        raise ValueError("non-finite values in the solved trajectory")
+        raise NonFiniteTrajectory("non-finite values in the solved trajectory")
     return traj
 
 
@@ -136,8 +136,8 @@ def forward_solve_linear(
     c, g, h are (nt+1, nx+1) tabulations (g/h may be None for zero); h is
     used as given — restriction to the control window is the caller's job.
     Returns the full (nt+1, nx+1) trajectory with exact Dirichlet rows.
-    Raises LinAlgError for a singular step matrix and ValueError for a
-    non-finite trajectory.
+    Raises LinAlgError for a singular step matrix and NonFiniteTrajectory
+    (a ValueError) for a non-finite trajectory.
     """
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     u = np.zeros((nt + 1, nx + 1))

@@ -9,6 +9,7 @@ compared against a configured cap (regression data, not a theorem).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -51,13 +52,6 @@ class InequalityReport:
     rhs: LogValue
     ratio: float
     params: dict = field(default_factory=dict)
-    cap: Optional[float] = None
-
-    @property
-    def passed(self) -> Optional[bool]:
-        if self.cap is None:
-            return None
-        return self.ratio <= self.cap
 
 
 def _ratio(lhs: LogValue, rhs: LogValue) -> float:
@@ -165,7 +159,6 @@ def carleman_check(
     grid: SpaceTimeGrid,
     op: DegenerateOperator,
     omega,
-    cap: Optional[float] = None,
 ) -> InequalityReport:
     """Weighted observability ratio for the backward equation
     v_t + (a v_x)_x - c v = F with terminal datum v(T).
@@ -206,7 +199,6 @@ def carleman_check(
         rhs=rhs,
         ratio=_ratio(lhs, rhs),
         params={"s": s, "lambda": lam},
-        cap=cap,
     )
 
 
@@ -244,7 +236,6 @@ def nonlocal_sup_bound(
     fields: WeightFields,
     grid: SpaceTimeGrid,
     op: DegenerateOperator,
-    cap: Optional[float] = None,
 ) -> InequalityReport:
     """sup_t e^{-2M/m(t)} (int u)^2 against the squared E-norm.
 
@@ -272,7 +263,6 @@ def nonlocal_sup_bound(
         rhs=rhs,
         ratio=_ratio(best, rhs),
         params={"M": M, "claim_witness": witness},
-        cap=cap,
     )
 
 
@@ -284,7 +274,6 @@ def bilinear_bound_check(
     fields: WeightFields,
     grid: SpaceTimeGrid,
     op: DegenerateOperator,
-    cap: Optional[float] = None,
 ) -> InequalityReport:
     """iint rho0^2 (int ub)^2 |(a u_x)_x|^2 <= C ||(u,h)||_E^2 ||(ub,hb)||_E^2."""
     lw0 = 2.0 * fields.log_rho0
@@ -306,7 +295,6 @@ def bilinear_bound_check(
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
-        cap=cap,
     )
 
 
@@ -344,9 +332,6 @@ def energy_estimate_ratio(
     )
 
 
-KNOWN_CHECKS = ("hardy", "carleman_phi", "carleman_A", "energy", "sup", "bilinear")
-
-
 def load_golden_caps() -> dict:
     """Regression caps for the inequality ratios, shipped as package data.
 
@@ -363,19 +348,54 @@ def load_golden_caps() -> dict:
     return doc.get("caps", doc)
 
 
-def _report_row(rep: InequalityReport, s, lam, n, seed):
-    ok = rep.passed
-    return (
-        rep.name,
-        s,
-        lam,
-        n,
-        seed,
-        rep.lhs.log(),
-        rep.rhs.log(),
-        rep.ratio,
-        True if ok is None else ok,
-    )
+def _free_state(cfg, op: DegenerateOperator, u0: np.ndarray) -> np.ndarray:
+    zeros = np.zeros((cfg.grid.nt + 1, cfg.grid.nx + 1))
+    return forward_solve_linear(cfg.c, zeros, zeros, u0, cfg.grid, op)
+
+
+def _hardy(cfg, op, fields, rng) -> InequalityReport:
+    return hardy_poincare_ratio(cfg.problem.a, random_profile(cfg.grid, rng), cfg.grid)
+
+
+def _carleman(kind: str, cfg, op, fields, rng) -> InequalityReport:
+    F = random_smooth_field(cfg.grid, rng)
+    terminal = random_profile(cfg.grid, rng)
+    return carleman_check(kind, F, terminal, cfg.c, fields(), cfg.grid, op, cfg.problem.omega)
+
+
+def _energy(cfg, op, fields, rng) -> InequalityReport:
+    grid = cfg.grid
+    u0 = random_profile(grid, rng)
+    F = random_smooth_field(grid, rng)
+    zeros = np.zeros((grid.nt + 1, grid.nx + 1))
+    u = forward_solve_linear(cfg.c, F, zeros, u0, grid, op)
+    return energy_estimate_ratio(u, F, grid, op)
+
+
+def _sup(cfg, op, fields, rng) -> InequalityReport:
+    u = _free_state(cfg, op, random_profile(cfg.grid, rng))
+    return nonlocal_sup_bound(u, None, fields(), cfg.grid, op)
+
+
+def _bilinear(cfg, op, fields, rng) -> InequalityReport:
+    u = _free_state(cfg, op, random_profile(cfg.grid, rng))
+    ub = _free_state(cfg, op, random_profile(cfg.grid, rng))
+    return bilinear_bound_check(u, None, ub, None, fields(), cfg.grid, op)
+
+
+# check -> witness(cfg, op, fields, rng) drawing one random datum; ``fields``
+# returns the weight fields, built on first use.  The order fixes the random
+# streams: member i of the k-th check (k = 1, 2, ...) draws from
+# default_rng([seed, k, i]), whichever checks a run selects.
+_WITNESSES = {
+    "hardy": _hardy,
+    "carleman_phi": functools.partial(_carleman, "phi_weights"),
+    "carleman_A": functools.partial(_carleman, "A_weights"),
+    "energy": _energy,
+    "sup": _sup,
+    "bilinear": _bilinear,
+}
+KNOWN_CHECKS = tuple(_WITNESSES)
 
 
 def run_verifications(cfg, build_fields):
@@ -384,78 +404,20 @@ def run_verifications(cfg, build_fields):
     ``cfg`` is an ExperimentConfig; ``build_fields`` maps it to WeightFields
     (kept as a callable to avoid a config-module dependency here). Each row
     is (check_name, s, lambda, n, seed, lhs_log, rhs_log, ratio, pass) with
-    n the ensemble member index.
+    n the ensemble member index; a ratio is checked against the golden cap
+    of its report's name.
     """
     caps = load_golden_caps()
-    grid = cfg.grid
-    a = cfg.problem.a
-    op = assemble_degenerate_operator(a, grid)
+    op = assemble_degenerate_operator(cfg.problem.a, cfg.grid)
     seed = cfg.verify_seed
-    ens = cfg.verify_ensemble
-    zeros = np.zeros((grid.nt + 1, grid.nx + 1))
-    fields = None
+    fields = functools.cache(lambda: build_fields(cfg))
     rows = []
-    all_pass = True
-
-    def need_fields():
-        nonlocal fields
-        if fields is None:
-            fields = build_fields(cfg)
-        return fields
-
     for check in cfg.verify_checks:
-        if check == "hardy":
-            cap = caps.get("hardy_poincare")
-            for i in range(ens):
-                rng = np.random.default_rng([seed, 1, i])
-                rep = hardy_poincare_ratio(a, random_profile(grid, rng), grid)
-                rep.cap = cap
-                rows.append(_report_row(rep, cfg.s, cfg.lam, i, seed))
-        elif check in ("carleman_phi", "carleman_A"):
-            kind = "phi_weights" if check == "carleman_phi" else "A_weights"
-            wf = need_fields()
-            cap = caps.get(f"carleman_{kind}")
-            for i in range(ens):
-                rng = np.random.default_rng([seed, 2 if kind[0] == "p" else 3, i])
-                F = random_smooth_field(grid, rng)
-                terminal = random_profile(grid, rng)
-                rep = carleman_check(
-                    kind, F, terminal, cfg.c, wf, grid, op, cfg.problem.omega, cap=cap
-                )
-                rows.append(_report_row(rep, cfg.s, cfg.lam, i, seed))
-        elif check == "energy":
-            cap = caps.get("energy_estimate")
-            for i in range(ens):
-                rng = np.random.default_rng([seed, 4, i])
-                u0 = random_profile(grid, rng)
-                F = random_smooth_field(grid, rng)
-                u = forward_solve_linear(cfg.c, F, zeros, u0, grid, op)
-                rep = energy_estimate_ratio(u, F, grid, op)
-                rep.cap = cap
-                rows.append(_report_row(rep, cfg.s, cfg.lam, i, seed))
-        elif check == "sup":
-            wf = need_fields()
-            cap = caps.get("nonlocal_sup_bound")
-            for i in range(ens):
-                rng = np.random.default_rng([seed, 5, i])
-                u0 = random_profile(grid, rng)
-                u = forward_solve_linear(cfg.c, zeros, zeros, u0, grid, op)
-                rep = nonlocal_sup_bound(u, None, wf, grid, op, cap=cap)
-                rows.append(_report_row(rep, cfg.s, cfg.lam, i, seed))
-        elif check == "bilinear":
-            wf = need_fields()
-            cap = caps.get("bilinear_bound")
-            for i in range(ens):
-                rng = np.random.default_rng([seed, 6, i])
-                u = forward_solve_linear(
-                    cfg.c, zeros, zeros, random_profile(grid, rng), grid, op
-                )
-                ub = forward_solve_linear(
-                    cfg.c, zeros, zeros, random_profile(grid, rng), grid, op
-                )
-                rep = bilinear_bound_check(u, None, ub, None, wf, grid, op, cap=cap)
-                rows.append(_report_row(rep, cfg.s, cfg.lam, i, seed))
-        else:
-            raise ValueError(f"unknown verification check {check!r}")
-        all_pass = all_pass and all(bool(r[-1]) for r in rows)
-    return rows, all_pass
+        k = KNOWN_CHECKS.index(check) + 1
+        for i in range(cfg.verify_ensemble):
+            rep = _WITNESSES[check](cfg, op, fields, np.random.default_rng([seed, k, i]))
+            cap = caps.get(rep.name)
+            lhs, rhs = rep.lhs.log(), rep.rhs.log()
+            passed = cap is None or rep.ratio <= cap
+            rows.append((rep.name, cfg.s, cfg.lam, i, seed, lhs, rhs, rep.ratio, passed))
+    return rows, all(row[-1] for row in rows)

@@ -76,6 +76,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_non_finite_trajectory_is_solver_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 1e300})
+        code = main(["null-control", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "NonFiniteTrajectory" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        cfg = write_cfg(tmp_path, {"verify.seed": -1})
+        assert main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 2
+        assert "verify.seed" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", out, "--seed", "-1", "--quiet"]) == 2
+        assert "verify.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_non_positive_newton_tol_is_config_error(self, tmp_path, capsys, tol):
+        cfg = write_cfg(tmp_path, {"newton.tol": tol})
+        code = main(
+            ["null-control-nonlinear", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+        )
+        assert code == 2
+        assert "newton.tol" in capsys.readouterr().err
+
     def test_newton_divergence_is_solver_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 200.0})
         code = main(
@@ -133,6 +157,32 @@ class TestPipelines:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "axis,value,exit_code,metric,wall_seconds"
         assert len(lines) == 3
+
+
+def _csv_seeds(path):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("seed")
+    return {line.split(",")[col] for line in lines[1:]}
+
+
+class TestSeedFlag:
+    def test_verify_seed_recorded_in_summary(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 0
+        assert _csv_seeds(out / "verification.csv") == {"7"}
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["config"]["verify"]["seed"] == 7
+
+    def test_sweep_passes_seed_to_verify(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--axis", "carleman.s",
+             "--values", "1", "--base", "verify", "--seed", "7", "--quiet"]
+        )
+        assert code == 0
+        assert _csv_seeds(out / "carleman_s=1" / "verification.csv") == {"7"}
 
 
 class TestTrajectoryWriter:

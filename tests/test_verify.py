@@ -15,7 +15,10 @@ from degctrl import (
     random_profile,
     random_smooth_field,
 )
+from degctrl.cli import _build_fields, _fmt
+from degctrl.config import parse_config
 from degctrl.errors import ZeroDenominator
+from degctrl.verify import KNOWN_CHECKS, run_verifications
 
 
 class TestHardyPoincare:
@@ -112,15 +115,45 @@ class TestEnergyEstimate:
         assert 0.0 < rep.ratio < 100.0
 
 
+def _run(checks):
+    raw = {
+        "problem": {"a": {"kind": "power", "alpha": 0.5}},
+        "discretization": {"nx": 12, "nt": 12},
+        "verify": {"checks": list(checks), "seed": 5, "ensemble": 2},
+    }
+    rows, _ = run_verifications(parse_config(raw), _build_fields)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    return _run(KNOWN_CHECKS)
+
+
 class TestGoldenCaps:
-    def test_all_checks_have_caps(self):
+    def test_all_checks_have_caps(self, full_run):
+        # a report name without a cap would pass unchecked
         caps = load_golden_caps()
-        for name in (
-            "hardy_poincare",
-            "carleman_phi_weights",
-            "carleman_A_weights",
-            "energy_estimate",
-            "nonlocal_sup_bound",
-            "bilinear_bound",
-        ):
+        names = {row[0] for row in full_run}
+        assert len(names) == len(KNOWN_CHECKS)
+        for name in names:
             assert name in caps and caps[name] > 0
+
+
+class TestRunVerifications:
+    def test_subset_rows_match_full_run(self, full_run):
+        # every check keeps its random stream whichever checks run, in any order
+        subset = ("bilinear", "carleman_A", "energy", "hardy")
+        assert all(subset.index(ch) != KNOWN_CHECKS.index(ch) for ch in subset)
+
+        def lines(rows):
+            by_name = {}
+            for row in rows:
+                by_name.setdefault(row[0], []).append(",".join(_fmt(v) for v in row))
+            return by_name
+
+        sub = lines(_run(subset))
+        full = lines(full_run)
+        assert len(sub) == len(subset)
+        for name, got in sub.items():
+            assert got == full[name]
