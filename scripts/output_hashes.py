@@ -11,7 +11,9 @@ Run from the root of a checkout:
     python3 scripts/output_hashes.py --seeds 0 > before.json
     python3 scripts/output_hashes.py --seeds 0 --workload verify-ensemble
 
-and compare two documents with ``diff``.
+and compare two documents with ``diff``.  With ``--keep DIR`` each input's
+output directory is kept as ``DIR/<workload>/seed<s>/<i>/`` instead of being
+deleted, for ``scripts/output_drift.py`` to compare two such trees.
 """
 
 from __future__ import annotations
@@ -53,7 +55,15 @@ def main(argv=None) -> int:
         choices=sorted(workloads.WORKLOADS),
         help="workload to run (repeatable; default: all)",
     )
+    ap.add_argument(
+        "--keep",
+        metavar="DIR",
+        help="keep each input's outputs under DIR/<workload>/seed<s>/<i>/",
+    )
     args = ap.parse_args(argv)
+    keep = os.path.abspath(args.keep) if args.keep else None
+    if keep and os.path.exists(keep) and os.listdir(keep):
+        ap.error(f"--keep directory {args.keep} is not empty")
     os.chdir(ROOT)  # workloads reads configs/default.json relative to the root
     doc = {}
     tmp = tempfile.mkdtemp(prefix="output_hashes-")
@@ -64,10 +74,11 @@ def main(argv=None) -> int:
             workloads.write_config(config_path, wl.overrides)
             for seed in args.seeds:
                 for index in range(wl.inputs):
-                    out = os.path.join(tmp, f"{name}-{seed}-{index}")
                     key = f"{name}/seed{seed}/{index}"
+                    out = os.path.join(keep or tmp, key)
                     doc[key] = run_input(wl, config_path, seed, index, out)
-                    shutil.rmtree(out)
+                    if not keep:
+                        shutil.rmtree(out)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)

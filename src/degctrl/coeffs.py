@@ -193,20 +193,23 @@ class SemilinearTerm:
 
     @staticmethod
     def polynomial(coeffs) -> "SemilinearTerm":
-        """f(u) = sum_k coeffs[k] * u**(k+1) (no constant term)."""
-        cs = [float(c) for c in coeffs]
+        """f(u) = sum_k coeffs[k] * u**(k+1) (no constant term).
+
+        Terms with a zero coefficient are not evaluated.
+        """
+        terms = [(k, float(c)) for k, c in enumerate(coeffs) if float(c) != 0.0]
 
         def f(t, x, u):
             u = np.asarray(u, dtype=float)
             out = np.zeros_like(u)
-            for k, c in enumerate(cs):
+            for k, c in terms:
                 out += c * u ** (k + 1)
             return out
 
         def dfdu(t, x, u):
             u = np.asarray(u, dtype=float)
             out = np.zeros_like(u)
-            for k, c in enumerate(cs):
+            for k, c in terms:
                 out += c * (k + 1) * u**k
             return out
 

@@ -185,7 +185,10 @@ def grad_Jn(
     wt = grid.interior_time_weights
     u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
     s = np.zeros_like(u)
-    s[1:-1] = (wt[:, None] / dt) * stage.W0[1:-1] * u[1:-1]
+    # a state near the float64 limit overflows here; the adjoint solve's
+    # finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s[1:-1] = (wt[:, None] / dt) * stage.W0[1:-1] * u[1:-1]
     p = adjoint_solve(s, prob.c, grid, prob.op)
     grad = np.zeros_like(u)
     grad[1:-1] = (dt / wt[:, None]) * p[1:-1]

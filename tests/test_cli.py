@@ -76,6 +76,7 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_trajectory_is_solver_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 1e300})
         code = main(["null-control", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])

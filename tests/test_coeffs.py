@@ -65,6 +65,21 @@ class TestNonlocalAndSemilinear:
         ):
             np.testing.assert_array_equal(f.f(0.3, x, np.zeros_like(x)), 0.0)
 
+    def test_polynomial_matches_all_terms_bit_for_bit(self):
+        # skipping zero coefficients must not change a bit, signed zeros
+        # and overflowed powers included
+        u = np.array([-0.0, 0.0, -2.5, -1e-3, 0.7, 3.0, 1e100, -1e100])
+        for cs in ([1.0, 0.0, 1.0], [0.0, -2.0, 0.0, 0.5], [3.0]):
+            term = SemilinearTerm.polynomial(cs)
+            want_f, want_df = np.zeros_like(u), np.zeros_like(u)
+            with np.errstate(over="ignore"):
+                for k, c in enumerate(cs):
+                    want_f += c * u ** (k + 1)
+                    want_df += c * (k + 1) * u**k
+                got_f, got_df = term.f(0.0, None, u), term.df_du(0.0, None, u)
+            assert got_f.tobytes() == want_f.tobytes()
+            assert got_df.tobytes() == want_df.tobytes()
+
     def test_linearized_potential_cubic_plus_linear(self):
         # f = u^3 + u has df/du(0) = 1 everywhere
         grid = build_grid(8, 4, 1.0)

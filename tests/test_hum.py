@@ -12,7 +12,7 @@ from degctrl import (
     solve_null_control,
     terminal_l2,
 )
-from degctrl import hum
+from degctrl import hum, pde
 from degctrl.cli import _control_problem
 from degctrl.config import load_config
 from degctrl.hum import _control_inner
@@ -186,7 +186,7 @@ class TestEarlyStop:
 class TestDefaultConfigCounts:
     def test_default_config_work(self, monkeypatch):
         cfg = load_config(DEFAULT_CONFIG)
-        counts = {"forward": 0, "adjoint": 0}
+        counts = {"forward": 0, "adjoint": 0, "eigh": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -197,9 +197,11 @@ class TestDefaultConfigCounts:
 
         for key, name in (("forward", "forward_solve_linear"), ("adjoint", "adjoint_solve")):
             monkeypatch.setattr(hum, name, counted(key, getattr(hum, name)))
+        # the modal step kernel is built once and reused by every solve
+        monkeypatch.setattr(pde, "eigh_tridiagonal", counted("eigh", pde.eigh_tridiagonal))
         res = solve_null_control(None, cfg.problem.u0, cfg.schedule, _control_problem(cfg))
         assert len(res.stages) == 4
-        assert sum(st.cg_iters for st in res.stages) == 114
-        assert sum(st.cg_iters for st in res.stages if st.accepted) == 57
-        assert counts == {"forward": 126, "adjoint": 122}
-        assert res.terminal_norm == 1.3510086562140113e-05
+        assert sum(st.cg_iters for st in res.stages) == 123
+        assert sum(st.cg_iters for st in res.stages if st.accepted) == 59
+        assert counts == {"forward": 135, "adjoint": 131, "eigh": 1}
+        assert res.terminal_norm == 1.350141360649699e-05

@@ -20,6 +20,7 @@ from degctrl import (
     tabulated_coefficient,
 )
 from degctrl.errors import PicardDivergence
+from degctrl.pde import MODAL_MAX_NX
 from tests.conftest import make_nonlinear_problem
 
 
@@ -156,33 +157,58 @@ def _reference_adjoint(source, c, grid, op, terminal):
     return p
 
 
-class TestStepKernel:
-    """The factored LAPACK kernel against a per-row banded solve."""
+def _kernel_pairs(nx, nt, c_kind):
+    """(solver, reference) results on one random case: forward for every
+    (g, h) combination, adjoint with zero and with random terminal data."""
+    grid = build_grid(nx, nt, 1.0)
+    op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+    rng = np.random.default_rng(11)
+    shape = (grid.nt + 1, grid.nx + 1)
+    c = np.full(shape, 0.7) if c_kind == "constant" else rng.random(shape)
+    g, h, s = (rng.standard_normal(shape) for _ in range(3))
+    u0 = np.sin(np.pi * grid.x)
+    terminal = np.zeros(grid.nx + 1)
+    terminal[1:-1] = rng.standard_normal(grid.nx - 1)
+    pairs = [
+        (
+            forward_solve_linear(c, gg, hh, u0, grid, op),
+            _reference_forward(c, gg, hh, u0, grid, op),
+        )
+        for gg, hh in ((g, h), (None, h), (g, None), (None, None))
+    ]
+    pairs += [
+        (
+            adjoint_solve(s, c, grid, op, terminal=term),
+            _reference_adjoint(s, c, grid, op, 0.0 * terminal if term is None else term),
+        )
+        for term in (None, terminal)
+    ]
+    return op, pairs
 
-    @pytest.mark.parametrize("c_kind", ["constant", "time_varying"])
-    def test_bit_identical_to_per_row_banded_solve(self, c_kind):
-        grid = build_grid(24, 20, 1.0)
-        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
-        rng = np.random.default_rng(11)
-        shape = (grid.nt + 1, grid.nx + 1)
-        c = np.full(shape, 0.7) if c_kind == "constant" else rng.random(shape)
-        g, h, s = (rng.standard_normal(shape) for _ in range(3))
-        u0 = np.sin(np.pi * grid.x)
-        terminal = np.zeros(grid.nx + 1)
-        terminal[1:-1] = rng.standard_normal(grid.nx - 1)
-        for gg, hh in ((g, h), (None, h), (g, None), (None, None)):
-            assert np.array_equal(
-                forward_solve_linear(c, gg, hh, u0, grid, op),
-                _reference_forward(c, gg, hh, u0, grid, op),
-            )
-        assert np.array_equal(
-            adjoint_solve(s, c, grid, op),
-            _reference_adjoint(s, c, grid, op, np.zeros_like(terminal)),
-        )
-        assert np.array_equal(
-            adjoint_solve(s, c, grid, op, terminal=terminal),
-            _reference_adjoint(s, c, grid, op, terminal),
-        )
+
+class TestStepKernel:
+    """The modal and the factored LAPACK kernels against a per-row banded
+    solve."""
+
+    @pytest.mark.parametrize(
+        "nx, nt, c_kind",
+        [
+            pytest.param(MODAL_MAX_NX + 32, 8, "constant", id="constant_above_cutoff"),
+            pytest.param(24, 20, "time_varying", id="time_varying"),
+        ],
+    )
+    def test_bit_identical_to_per_row_banded_solve(self, nx, nt, c_kind):
+        op, pairs = _kernel_pairs(nx, nt, c_kind)
+        assert op.modal is None  # the LAPACK kernel ran
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("nx, nt", [(24, 20), (64, 64)])
+    def test_modal_kernel_matches_per_row_banded_solve(self, nx, nt):
+        op, pairs = _kernel_pairs(nx, nt, "constant")
+        assert op.modal is not None
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_singular_step_matrix(self):
         # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes
@@ -234,20 +260,30 @@ class TestStepKernel:
             forward_solve_nonlinear(pd, h, grid, op)
 
 
+def _duality_error(grid, c, rng, trials=5):
+    """Worst relative gap |<s, u> - <p, h>| / |<s, u>| over random (h, s)."""
+    op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+    worst = 0.0
+    for _ in range(trials):
+        h = rng.standard_normal((grid.nt + 1, grid.nx + 1))
+        s = rng.standard_normal((grid.nt + 1, grid.nx + 1))
+        h[:, 0] = h[:, -1] = s[:, 0] = s[:, -1] = 0.0
+        u = forward_solve_linear(c, None, h, np.zeros(grid.nx + 1), grid, op)
+        p = adjoint_solve(s, c, grid, op)
+        lhs = duality_pairing(s, u, grid)
+        rhs = duality_pairing(p, h, grid)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    return worst
+
+
 class TestAdjointDuality:
     def test_exact_duality(self):
         grid = build_grid(16, 16, 1.0)
-        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
         rng = np.random.default_rng(7)
         c = rng.random((grid.nt + 1, grid.nx + 1))
-        worst = 0.0
-        for _ in range(5):
-            h = rng.standard_normal((grid.nt + 1, grid.nx + 1))
-            s = rng.standard_normal((grid.nt + 1, grid.nx + 1))
-            h[:, 0] = h[:, -1] = s[:, 0] = s[:, -1] = 0.0
-            u = forward_solve_linear(c, None, h, np.zeros(grid.nx + 1), grid, op)
-            p = adjoint_solve(s, c, grid, op)
-            lhs = duality_pairing(s, u, grid)
-            rhs = duality_pairing(p, h, grid)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-        assert worst <= 1e-10
+        assert _duality_error(grid, c, rng) <= 1e-10
+
+    def test_exact_duality_modal_kernel(self):
+        grid = build_grid(64, 64, 1.0)
+        c = np.ones((grid.nt + 1, grid.nx + 1))
+        assert _duality_error(grid, c, np.random.default_rng(7)) <= 1e-13
