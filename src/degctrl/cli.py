@@ -81,7 +81,10 @@ def _build_fields(cfg: ExperimentConfig):
         lam=cfg.lam,
         omega_prime=default_omega_prime(cfg.problem.omega, cfg.omega_prime_margin),
     )
-    fields = build_weight_fields(params, cfg.problem.a, cfg.grid)
+    try:
+        fields = build_weight_fields(params, cfg.problem.a, cfg.grid)
+    except OverflowError as exc:  # e^{3 lambda |psi|_inf} beyond float64
+        raise ConfigError("carleman.lambda", f"weights overflow float64 ({exc})") from exc
     if cfg.M_fraction != 0.5:
         fields.params.M = cfg.M_fraction * cfg.s * fields.beta_bar
     return fields

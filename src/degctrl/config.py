@@ -64,18 +64,15 @@ def _get(block: dict, key: str, path: str, expect=None, default=..., low=None, h
 
 def _build_a(block: dict) -> DegeneracyCoefficient:
     kind = _get(block, "kind", "problem.a.kind", str, default="power")
-    if kind == "power":
-        alpha = float(_get(block, "alpha", "problem.a.alpha", (int, float), default=0.5))
-        a = power_coefficient(alpha)
-    elif kind == "power_cosine":
-        alpha = float(_get(block, "alpha", "problem.a.alpha", (int, float), default=0.5))
-        a = power_cosine_coefficient(alpha)
-    else:
+    build = {"power": power_coefficient, "power_cosine": power_cosine_coefficient}
+    if kind not in build:
         raise ConfigError("problem.a.kind", f"unknown coefficient kind {kind!r}")
+    alpha = float(_get(block, "alpha", "problem.a.alpha", (int, float), default=0.5))
     try:
+        a = build[kind](alpha)
         validate_degeneracy(a)
-    except DegctrlError as exc:
-        raise ConfigError("problem.a", str(exc)) from exc
+    except (ValueError, DegctrlError) as exc:  # alpha out of the kind's range
+        raise ConfigError("problem.a.alpha", str(exc)) from exc
     return a
 
 

@@ -161,14 +161,17 @@ def build_grid(nx: int, nt: int, T: float, gamma: float = 2.0) -> SpaceTimeGrid:
     return SpaceTimeGrid(nx=nx, nt=nt, x=x, t=t, gamma=float(gamma))
 
 
-def integrate_space(values: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """Trapezoid rule on the nonuniform mesh; exact for affine integrands."""
+def integrate_space(values: np.ndarray, grid: SpaceTimeGrid):
+    """Trapezoid rule on the nonuniform mesh along the last axis; exact for
+    affine integrands.  One row gives a float, a (k, nx+1) block of rows
+    the k row integrals, each bit-identical to integrating its row alone."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.nx + 1,):
+    if values.ndim == 0 or values.shape[-1] != grid.nx + 1:
         raise ValueError(
             f"expected {grid.nx + 1} nodal values, got shape {values.shape}"
         )
-    return float(np.dot(grid.dual_widths, values))
+    total = np.vecdot(values, grid.dual_widths)  # one BLAS ddot per row
+    return float(total) if values.ndim == 1 else total
 
 
 def integrate_spacetime_logweight(
@@ -188,14 +191,16 @@ def integrate_spacetime_logweight(
         raise ValueError(f"expected arrays of shape {shape}")
     lw = logw[1 : grid.nt]
     vv = values[1 : grid.nt]
-    if np.isnan(lw).any() or np.isnan(vv).any():
-        raise ValueError("NaN in weighted-integral inputs")
-    if (vv < 0).any():
-        raise ValueError("values must be nonnegative")
     # shift by the max of logw + log(values) jointly, so the result is
     # immune to the weight maximum landing on a node where values vanish
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = np.where(vv > 0, lw + np.log(vv), -math.inf)
+        total = lw + np.log(vv)
+    if np.isnan(total).any():  # NaN input, a negative value, or inf * 0
+        if np.isnan(lw).any() or np.isnan(vv).any():
+            raise ValueError("NaN in weighted-integral inputs")
+        if (vv < 0).any():
+            raise ValueError("values must be nonnegative")
+        total[vv == 0] = -math.inf
     m = float(np.max(total))
     if m == -math.inf:
         return LogValue.zero()

@@ -13,13 +13,15 @@ The linear solvers have two step kernels, chosen from the input:
   D^{1/2} M D^{-1/2} symmetric for the step matrix M = I/dt - L + diag(c),
   D the dual widths, so one eigh_tridiagonal diagonalizes every step.  A
   solve is then one GEMM into modal coordinates, a per-mode doubling scan of
-  the recurrence w_j = w_{j-1}/(dt mu) + ..., and one GEMM back.  The
-  eigenbasis is cached on the operator, so a whole control solve runs one
-  eigendecomposition.  Results agree with the LAPACK kernel to about 1e-13
-  relative (not bit for bit), so CG iteration counts, which stop at the
-  rounding floor, can differ by a few iterations from a run of that kernel.
+  the recurrence w_j = w_{j-1}/(dt mu) + ..., and one GEMM back.  Results
+  agree with the LAPACK kernel to about 1e-13 relative (not bit for bit), so
+  CG iteration counts, which stop at the rounding floor, can differ by a few
+  iterations from a run of that kernel.
 - LAPACK otherwise: dgttrs per step, with the step matrix factored by dgttrf
-  once per call (once per row when c varies in time).
+  (once per row when c varies in time).
+
+The kernel of a c that is the same in every row (eigenbasis or dgttrf
+factors) is cached on the operator, so a whole control solve builds it once.
 
 The Picard stepper of the nonlinear solve calls dgtsv, since its matrix
 changes with every inner iterate.
@@ -75,9 +77,9 @@ class DegenerateOperator:
     upper: np.ndarray
     a_mid: np.ndarray
     dual: np.ndarray  # interior dual-cell widths, length nx-1
-    # the last _ModalFactors built for this operator; a one-entry cache, not
-    # copied by dataclasses.replace
-    modal: Optional["_ModalFactors"] = field(
+    # (key, kernel) of the last step kernel built for this operator, see
+    # _step_kernel; a one-entry cache, not copied by dataclasses.replace
+    step_kernel: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -109,11 +111,12 @@ def assemble_degenerate_operator(
 
 
 def apply_operator(op: DegenerateOperator, u: np.ndarray) -> np.ndarray:
-    """(L u) at all nodes of one row; Dirichlet rows map to 0."""
+    """(L u) at all nodes of one row, or of each row of a (k, nx+1) block;
+    Dirichlet nodes map to 0."""
     out = np.zeros_like(u)
-    out[1:-1] = op.diag * u[1:-1]
-    out[2:-1] += op.lower[1:] * u[1:-2]
-    out[1:-2] += op.upper[:-1] * u[2:-1]
+    out[..., 1:-1] = op.diag * u[..., 1:-1]
+    out[..., 2:-1] += op.lower[1:] * u[..., 1:-2]
+    out[..., 1:-2] += op.upper[:-1] * u[..., 2:-1]
     return out
 
 
@@ -128,22 +131,10 @@ def _raise_if_singular(info: int) -> None:
         raise np.linalg.LinAlgError(f"singular step matrix (zero pivot at row {info})")
 
 
-def _step_factors(op: DegenerateOperator, dt: float, c: np.ndarray) -> list:
-    """dgttrf factors of the step matrix of rows j = 1..nt, at index j - 1.
-
-    When c is the same in every row (every built-in f gives such a c), all
-    rows share one factorization.
-    """
-    rows = c[1:, 1:-1]
-
-    def factor(c_row):
-        *lu, info = dgttrf(*_step_bands(op, dt, 1.0, c_row))
-        _raise_if_singular(info)
-        return lu
-
-    if (rows == rows[0]).all():
-        return [factor(rows[0])] * len(rows)
-    return [factor(c_row) for c_row in rows]
+def _factor(bands) -> tuple:
+    *lu, info = dgttrf(*bands)
+    _raise_if_singular(info)
+    return tuple(lu)
 
 
 @dataclass(frozen=True)
@@ -157,39 +148,40 @@ class _ModalFactors:
     (diag(1/mu) Q^T D^{1/2} r)^T) and a modal row w back as w @ to_nodal.
     """
 
-    key: tuple  # (dt, bytes of c_row)
     to_modal: np.ndarray  # D^{1/2} Q diag(1/mu)
     decay: np.ndarray  # 1/(dt mu), the per-mode step multiplier
     to_nodal: np.ndarray  # Q^T D^{-1/2}
 
 
-def _modal_factors(
-    op: DegenerateOperator, dt: float, c: np.ndarray
-) -> Optional[_ModalFactors]:
-    """The modal factors of the step matrix, or None where the LAPACK kernel
-    runs: when c differs between time rows or nx > MODAL_MAX_NX.
+def _modal_factors(op: DegenerateOperator, dt: float, bands) -> _ModalFactors:
+    _, diag, upper = bands
+    root = np.sqrt(op.dual)
+    mu, q = eigh_tridiagonal(diag, upper * (root[:-1] / root[1:]))
+    if (mu == 0.0).any():
+        raise np.linalg.LinAlgError("singular step matrix (zero eigenvalue)")
+    return _ModalFactors(
+        to_modal=root[:, None] * q / mu, decay=1.0 / (dt * mu), to_nodal=q.T / root
+    )
 
-    The factors are cached on op, keyed by dt and the c row, so a control
-    solve runs one eigendecomposition for all its forward and adjoint solves.
-    Raises LinAlgError for a singular step matrix (a zero eigenvalue).
+
+def _step_kernel(op: DegenerateOperator, dt: float, c: np.ndarray):
+    """The step kernel shared by every row when c is the same in every time
+    row: _ModalFactors for nx <= MODAL_MAX_NX, the dgttrf factors above.
+    None when c varies in time.
+
+    The kernel is cached on op, keyed by dt and the c row, so a control solve
+    builds it once for all its forward and adjoint solves.  Raises
+    LinAlgError for a singular step matrix.
     """
     rows = c[1:, 1:-1]
-    if op.diag.size + 1 > MODAL_MAX_NX or not (rows == rows[0]).all():
+    if not (rows == rows[0]).all():
         return None
     key = (dt, rows[0].tobytes())
-    if op.modal is None or op.modal.key != key:
-        _, diag, upper = _step_bands(op, dt, 1.0, rows[0])
-        root = np.sqrt(op.dual)
-        mu, q = eigh_tridiagonal(diag, upper * (root[:-1] / root[1:]))
-        if (mu == 0.0).any():
-            raise np.linalg.LinAlgError("singular step matrix (zero eigenvalue)")
-        op.modal = _ModalFactors(
-            key=key,
-            to_modal=root[:, None] * q / mu,
-            decay=1.0 / (dt * mu),
-            to_nodal=q.T / root,
-        )
-    return op.modal
+    if op.step_kernel is None or op.step_kernel[0] != key:
+        bands = _step_bands(op, dt, 1.0, rows[0])
+        modal = op.diag.size + 1 <= MODAL_MAX_NX
+        op.step_kernel = (key, _modal_factors(op, dt, bands) if modal else _factor(bands))
+    return op.step_kernel[1]
 
 
 def _modal_march(m: _ModalFactors, b: np.ndarray) -> np.ndarray:
@@ -235,24 +227,24 @@ def forward_solve_linear(
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     u = np.zeros((nt + 1, nx + 1))
     u[0, 1:-1] = u0[1:-1]
-    modal = _modal_factors(op, dt, c)
-    if modal is not None:
+    kernel = _step_kernel(op, dt, c)
+    if isinstance(kernel, _ModalFactors):
         b = np.zeros((nt, nx - 1))
         b[0] = u[0, 1:-1] / dt
         if h is not None:
             b += h[1:, 1:-1]
         if g is not None:
             b += g[1:, 1:-1]
-        u[1:, 1:-1] = _modal_march(modal, b)
+        u[1:, 1:-1] = _modal_march(kernel, b)
         return _require_finite(u)
-    lus = _step_factors(op, dt, c)
     for j in range(1, nt + 1):
+        lu = kernel or _factor(_step_bands(op, dt, 1.0, c[j, 1:-1]))
         rhs = u[j - 1, 1:-1] / dt
         if h is not None:
             rhs += h[j, 1:-1]
         if g is not None:
             rhs += g[j, 1:-1]
-        u[j, 1:-1] = dgttrs(*lus[j - 1], rhs, overwrite_b=1)[0]
+        u[j, 1:-1] = dgttrs(*lu, rhs, overwrite_b=1)[0]
     return _require_finite(u)
 
 
@@ -274,19 +266,19 @@ def adjoint_solve(
     """
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     p = np.zeros((nt + 1, nx + 1))
-    modal = _modal_factors(op, dt, c)
-    if modal is not None:
+    kernel = _step_kernel(op, dt, c)
+    if isinstance(kernel, _ModalFactors):
         b = source[:0:-1, 1:-1].copy()  # rows nt, ..., 1
         if terminal is not None:
             b[0] += np.asarray(terminal)[1:-1] / dt
-        p[:0:-1, 1:-1] = _modal_march(modal, b)
+        p[:0:-1, 1:-1] = _modal_march(kernel, b)
         p[0] = p[1]
         return _require_finite(p)
     p_next = np.zeros(nx - 1) if terminal is None else np.asarray(terminal)[1:-1]
-    lus = _step_factors(op, dt, c)
     for j in range(nt, 0, -1):
+        lu = kernel or _factor(_step_bands(op, dt, 1.0, c[j, 1:-1]))
         rhs = p_next / dt + source[j, 1:-1]
-        p_next = dgttrs(*lus[j - 1], rhs, overwrite_b=1)[0]
+        p_next = dgttrs(*lu, rhs, overwrite_b=1)[0]
         p[j, 1:-1] = p_next
     p[0] = p[1]
     return _require_finite(p)
@@ -355,11 +347,9 @@ def forward_solve_nonlinear(
     return u
 
 
-def h1a_norm_sq(
-    row: np.ndarray, op: DegenerateOperator, grid: SpaceTimeGrid
-) -> float:
-    """||w||^2 + ||sqrt(a) w_x||^2 with the gradient term on cell midpoints."""
-    l2 = integrate_space(row * row, grid)
-    dw = np.diff(row) / np.diff(grid.x)
-    grad = float(np.sum(op.a_mid * dw * dw * np.diff(grid.x)))
-    return l2 + grad
+def h1a_norm_sq(row: np.ndarray, op: DegenerateOperator, grid: SpaceTimeGrid):
+    """||w||^2 + ||sqrt(a) w_x||^2 with the gradient term on cell midpoints,
+    for one row (a float) or for each row of a (k, nx+1) block."""
+    dx = np.diff(grid.x)
+    dw = np.diff(row, axis=-1) / dx
+    return integrate_space(row * row, grid) + np.sum(op.a_mid * dw * dw * dx, axis=-1)

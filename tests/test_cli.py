@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degctrl import build_grid
 from degctrl.cli import _write_trajectory, main, write_csv
 from degctrl.config import parse_config
 from degctrl.errors import ConfigError
+from degctrl.verify import KNOWN_CHECKS
 
 BASE = {
     "problem": {
@@ -108,6 +113,53 @@ class TestExitCodes:
              "--out", str(tmp_path / "d"), "--quiet"]
         )
         assert code == 3
+
+
+    def test_weight_overflow_is_config_error(self, tmp_path, capsys):
+        overrides = {"carleman.lambda": 1000.0, "verify.checks": ["carleman_phi"]}
+        cfg = write_cfg(tmp_path, overrides)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "carleman.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, alpha", [("power", -0.5), ("power_cosine", 1.5)])
+    def test_alpha_out_of_range_is_config_error(self, tmp_path, capsys, kind, alpha):
+        cfg = write_cfg(tmp_path, {"problem.a": {"kind": kind, "alpha": alpha}})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "problem.a.alpha" in capsys.readouterr().err
+
+
+class TestVerifyExitCodeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        checks=st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=6, unique=True),
+        ensemble=st.integers(1, 3),
+        nx=st.integers(2, 24),
+        nt=st.integers(2, 24),
+        gamma=st.floats(1.0, 3.0),
+        kind=st.sampled_from(["power", "power_cosine"]),
+        alpha=st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 2.0)),
+        s=st.floats(1e-6, 50.0),
+        lam=st.one_of(st.floats(1e-6, 20.0), st.floats(1e-6, 1000.0)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_exit_code_is_documented(
+        self, checks, ensemble, nx, nt, gamma, kind, alpha, s, lam, seed
+    ):
+        raw = {
+            "problem": {"a": {"kind": kind, "alpha": alpha}},
+            "discretization": {"nx": nx, "nt": nt, "gamma": gamma},
+            "carleman": {"s": s, "lambda": lam},
+            "verify": {"checks": checks, "seed": seed, "ensemble": ensemble},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "o")
+            with open(cfg, "w") as fh:
+                json.dump(raw, fh)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["verify", "--config", cfg, "--out", out, "--quiet"])
+            assert code in (0, 1, 2, 3)
+            if code in (0, 1):  # an assertion failure is reported after its outputs
+                assert os.path.exists(os.path.join(out, "summary.json"))
 
 
 class TestPipelines:

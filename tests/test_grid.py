@@ -111,3 +111,26 @@ class TestLogWeightQuadrature:
         got = integrate_spacetime_logweight(lw, v, g)
         assert not got.is_zero()
         assert np.isfinite(got.log())
+
+    def test_infinite_weight_on_zero_value_counts_as_zero(self):
+        g = build_grid(8, 8, 1.0)
+        v = np.random.default_rng(2).random((9, 9))
+        v[3, 2] = 0.0
+        lw = np.zeros((9, 9))
+        want = integrate_spacetime_logweight(lw, v, g)
+        lw[3, 2] = math.inf
+        assert integrate_spacetime_logweight(lw, v, g) == want
+
+    @pytest.mark.parametrize("bad", ["nan_weight", "nan_value", "negative_value"])
+    def test_invalid_inputs_raise(self, bad):
+        g = build_grid(8, 8, 1.0)
+        lw, v = np.zeros((9, 9)), np.ones((9, 9))
+        if bad == "nan_weight":
+            lw[2, 3] = math.nan
+        elif bad == "nan_value":
+            v[2, 3] = math.nan
+        else:
+            v[2, 3] = -1e-300
+        match = "nonnegative" if bad == "negative_value" else "NaN"
+        with pytest.raises(ValueError, match=match):
+            integrate_spacetime_logweight(lw, v, g)

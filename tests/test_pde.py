@@ -19,9 +19,11 @@ from degctrl import (
     power_coefficient,
     tabulated_coefficient,
 )
+from degctrl import pde
 from degctrl.errors import PicardDivergence
-from degctrl.pde import MODAL_MAX_NX
-from tests.conftest import make_nonlinear_problem
+from degctrl.hum import PenaltySchedule, solve_null_control
+from degctrl.pde import MODAL_MAX_NX, _ModalFactors
+from tests.conftest import make_control_problem, make_nonlinear_problem
 
 
 def uniform_coefficient():
@@ -186,6 +188,10 @@ def _kernel_pairs(nx, nt, c_kind):
     return op, pairs
 
 
+def _cached_kernel(op):
+    return None if op.step_kernel is None else op.step_kernel[1]
+
+
 class TestStepKernel:
     """The modal and the factored LAPACK kernels against a per-row banded
     solve."""
@@ -199,16 +205,38 @@ class TestStepKernel:
     )
     def test_bit_identical_to_per_row_banded_solve(self, nx, nt, c_kind):
         op, pairs = _kernel_pairs(nx, nt, c_kind)
-        assert op.modal is None  # the LAPACK kernel ran
+        assert not isinstance(_cached_kernel(op), _ModalFactors)  # the LAPACK kernel ran
         for got, want in pairs:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("nx, nt", [(24, 20), (64, 64)])
     def test_modal_kernel_matches_per_row_banded_solve(self, nx, nt):
         op, pairs = _kernel_pairs(nx, nt, "constant")
-        assert op.modal is not None
+        assert isinstance(_cached_kernel(op), _ModalFactors)
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_factorization_per_control_solve(self, monkeypatch):
+        # above the modal cut-off the dgttrf factors are cached on the operator
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dgttrf(*args, **kwargs)
+
+        dgttrf = pde.dgttrf
+        monkeypatch.setattr(pde, "dgttrf", counted)
+        prob = make_control_problem(nx=MODAL_MAX_NX + 32, nt=8)
+        grid = prob.grid
+        u0 = np.sin(np.pi * grid.x)
+        res = solve_null_control(None, u0, PenaltySchedule(ns=(1.0, 10.0)), prob)
+        assert sum(st.cg_iters for st in res.stages) > 0
+        assert len(calls) == 1
+        # a new c row replaces the cached factors
+        c = np.full_like(prob.c, 0.3)
+        got = forward_solve_linear(c, None, None, u0, grid, prob.op)
+        assert len(calls) == 2
+        assert np.array_equal(got, _reference_forward(c, None, None, u0, grid, prob.op))
 
     def test_singular_step_matrix(self):
         # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes
