@@ -78,12 +78,17 @@ class StageWeights:
 
     W0/Wstar are exp of the shifted+capped squared log-weights; kappa2 is the
     common shift, so `value * exp(kappa2)` restores the reported scale.
+    src_W0 = (wt/dt) W0 and to_ctrl = dt/wt on the interior rows, and
+    outside = ~mask, are the stage constants of every ``grad_Jn`` call.
     """
 
     W0: np.ndarray
     Wstar: np.ndarray
     kappa2: float
     mask: np.ndarray
+    src_W0: np.ndarray
+    to_ctrl: np.ndarray
+    outside: np.ndarray
 
 
 @dataclass
@@ -118,7 +123,11 @@ def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
     kappa2 = min(float(np.min(lw0[interior])), float(np.min(lws[interior][:, mask])))
     W0 = _effective_weights(lw0, kappa2, prob)
     Wstar = _effective_weights(lws, kappa2, prob)
-    return StageWeights(W0=W0, Wstar=Wstar, kappa2=kappa2, mask=mask)
+    wt = prob.grid.interior_time_weights[:, None]
+    dt = prob.grid.dt
+    return StageWeights(
+        W0, Wstar, kappa2, mask, (wt / dt) * W0[interior], dt / wt, ~mask
+    )
 
 
 def _effective_weights(
@@ -181,19 +190,17 @@ def grad_Jn(
     ``minimize_Jn`` inverts, and at h = 0 it is the right-hand side b.
     """
     grid = prob.grid
-    dt = grid.dt
-    wt = grid.interior_time_weights
     u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
     s = np.zeros_like(u)
     # a state near the float64 limit overflows here; the adjoint solve's
     # finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        s[1:-1] = (wt[:, None] / dt) * stage.W0[1:-1] * u[1:-1]
+        s[1:-1] = stage.src_W0 * u[1:-1]
     p = adjoint_solve(s, prob.c, grid, prob.op)
     grad = np.zeros_like(u)
-    grad[1:-1] = (dt / wt[:, None]) * p[1:-1]
+    grad[1:-1] = stage.to_ctrl * p[1:-1]
     grad[1:-1] += stage.Wstar[1:-1] * h[1:-1]
-    grad[:, ~stage.mask] = 0.0
+    grad[:, stage.outside] = 0.0
     return grad, u
 
 
@@ -224,14 +231,14 @@ def minimize_Jn(
     b = grad_Jn(zeros, stage, g, u0, prob)[0]
 
     h = zeros.copy() if h_init is None else h_init.copy()
-    h[:, ~stage.mask] = 0.0
+    h[:, stage.outside] = 0.0
     h[0] = 0.0
     h[-1] = 0.0
 
     r = -(apply_A(h) + b)
     z = np.zeros_like(r)
     z[1:-1] = r[1:-1] / stage.Wstar[1:-1]
-    z[:, ~stage.mask] = 0.0
+    z[:, stage.outside] = 0.0
     rz0 = rz = _control_inner(r, z, grid)
     p = z.copy()
     converged = rz0 <= 0.0
@@ -246,7 +253,7 @@ def minimize_Jn(
         r -= alpha * Ap
         iters += 1
         z[1:-1] = r[1:-1] / stage.Wstar[1:-1]
-        z[:, ~stage.mask] = 0.0
+        z[:, stage.outside] = 0.0
         rz_new = _control_inner(r, z, grid)
         if rz_new <= tol**2 * rz0:
             converged = True
