@@ -51,17 +51,13 @@ def residual_source(
     with the same discrete operator as the solvers (u_t - ell (a u_x)_x + f
     = h rearranged around the zero linearization)."""
     grid = prob.grid
-    x = grid.x
+    rows = u[1:]
+    ts = grid.t[1:].tolist()
+    fval = np.array([pd.f.f(t, grid.x, row) for t, row in zip(ts, rows)], float)
+    lfac = np.array([float(pd.ell.ell(r)) - 1.0 for r in integrate_space(rows, grid)])
     g = np.zeros_like(u)
-    for j in range(1, grid.nt + 1):
-        t = grid.t[j]
-        row = u[j]
-        fval = np.asarray(pd.f.f(float(t), x, row), dtype=float)
-        r = integrate_space(row, grid)
-        lfac = float(pd.ell.ell(r)) - 1.0
-        g[j] = -(fval - c[j] * row) + lfac * apply_operator(prob.op, row)
-        g[j, 0] = 0.0
-        g[j, -1] = 0.0
+    g[1:] = -(fval - c[1:] * rows) + lfac[:, None] * apply_operator(prob.op, rows)
+    g[:, [0, -1]] = 0.0
     return g
 
 
