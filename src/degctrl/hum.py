@@ -219,8 +219,10 @@ def minimize_Jn(
     affine split u(h) = u_hom(h) + u_part(g, u0), A h is the gradient at
     (g, u0) = (None, 0) and b is the gradient at h = 0.  A is preconditioned
     by the diagonal Wstar, and CG stops once the preconditioned residual
-    r.z falls to tol**2 times its value at the (warm) start.  Returns
-    (h, u, iters, converged), u being the state of the returned control.
+    r.z falls to tol**2 (b, Wstar^-1 b): the residual is relative to ||b||,
+    both in the Wstar^-1 norm over the window, so a warm start that already
+    meets it runs no iteration.  Returns (h, u, iters, converged), u being
+    the state of the returned control.
     """
     grid = prob.grid
     zeros = np.zeros_like(prob.c)
@@ -228,20 +230,24 @@ def minimize_Jn(
     def apply_A(hv):
         return grad_Jn(hv, stage, None, zeros[0], prob)[0]
 
-    b = grad_Jn(zeros, stage, g, u0, prob)[0]
+    def precond(v):
+        w = np.zeros_like(v)
+        w[1:-1] = v[1:-1] / stage.Wstar[1:-1]
+        w[:, stage.outside] = 0.0
+        return w
 
-    h = zeros.copy() if h_init is None else h_init.copy()
+    b = grad_Jn(zeros, stage, g, u0, prob)[0]
+    stop = tol**2 * _control_inner(b, precond(b), grid)
+    # b = 0 is solved by h = 0 exactly, whatever the warm start
+    h = zeros.copy() if h_init is None or not b.any() else h_init.copy()
     h[:, stage.outside] = 0.0
-    h[0] = 0.0
-    h[-1] = 0.0
+    h[[0, -1]] = 0.0
 
     r = -(apply_A(h) + b)
-    z = np.zeros_like(r)
-    z[1:-1] = r[1:-1] / stage.Wstar[1:-1]
-    z[:, stage.outside] = 0.0
-    rz0 = rz = _control_inner(r, z, grid)
+    z = precond(r)
+    rz = _control_inner(r, z, grid)
     p = z.copy()
-    converged = rz0 <= 0.0
+    converged = rz <= stop
     iters = 0
     while not converged and iters < maxit:
         Ap = apply_A(p)
@@ -252,10 +258,9 @@ def minimize_Jn(
         h += alpha * p
         r -= alpha * Ap
         iters += 1
-        z[1:-1] = r[1:-1] / stage.Wstar[1:-1]
-        z[:, stage.outside] = 0.0
+        z = precond(r)
         rz_new = _control_inner(r, z, grid)
-        if rz_new <= tol**2 * rz0:
+        if rz_new <= stop:
             converged = True
             break
         p = z + (rz_new / rz) * p

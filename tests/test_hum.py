@@ -201,7 +201,7 @@ class TestDefaultConfigCounts:
         monkeypatch.setattr(pde, "eigh_tridiagonal", counted("eigh", pde.eigh_tridiagonal))
         res = solve_null_control(None, cfg.problem.u0, cfg.schedule, _control_problem(cfg))
         assert len(res.stages) == 4
-        assert sum(st.cg_iters for st in res.stages) == 123
+        assert sum(st.cg_iters for st in res.stages) == 83
         assert sum(st.cg_iters for st in res.stages if st.accepted) == 59
-        assert counts == {"forward": 135, "adjoint": 131, "eigh": 1}
-        assert res.terminal_norm == 1.350141360649699e-05
+        assert counts == {"forward": 95, "adjoint": 91, "eigh": 1}
+        assert res.terminal_norm == 1.3501312499624691e-05
