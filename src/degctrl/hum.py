@@ -123,11 +123,8 @@ def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
     kappa2 = min(float(np.min(lw0[interior])), float(np.min(lws[interior][:, mask])))
     W0 = _effective_weights(lw0, kappa2, prob)
     Wstar = _effective_weights(lws, kappa2, prob)
-    wt = prob.grid.interior_time_weights[:, None]
-    dt = prob.grid.dt
-    return StageWeights(
-        W0, Wstar, kappa2, mask, (wt / dt) * W0[interior], dt / wt, ~mask
-    )
+    wt, dt = prob.grid.interior_time_weights[:, None], prob.grid.dt
+    return StageWeights(W0, Wstar, kappa2, mask, (wt / dt) * W0[interior], dt / wt, ~mask)
 
 
 def _effective_weights(
@@ -232,8 +229,7 @@ def minimize_Jn(
 
     def precond(v):
         w = np.zeros_like(v)
-        w[1:-1] = v[1:-1] / stage.Wstar[1:-1]
-        w[:, stage.outside] = 0.0
+        w[1:-1] = np.where(stage.outside, 0.0, v[1:-1] / stage.Wstar[1:-1])
         return w
 
     b = grad_Jn(zeros, stage, g, u0, prob)[0]
@@ -247,9 +243,8 @@ def minimize_Jn(
     z = precond(r)
     rz = _control_inner(r, z, grid)
     p = z.copy()
-    converged = rz <= stop
     iters = 0
-    while not converged and iters < maxit:
+    while rz > stop and iters < maxit:
         Ap = apply_A(p)
         pAp = _control_inner(p, Ap, grid)
         if pAp <= 0.0:
@@ -260,11 +255,9 @@ def minimize_Jn(
         iters += 1
         z = precond(r)
         rz_new = _control_inner(r, z, grid)
-        if rz_new <= stop:
-            converged = True
-            break
         p = z + (rz_new / rz) * p
         rz = rz_new
+    converged = rz <= stop
     u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
     return h, u, iters, converged
 
@@ -289,8 +282,7 @@ def solve_null_control(
     grid = prob.grid
     if g is not None:
         _check_source_weight(g, prob)
-    h = None
-    u = None
+    h = u = None
     best = np.inf
     stages: List[StageDiagnostics] = []
     for n in schedule.ns:
@@ -302,11 +294,9 @@ def solve_null_control(
         # accept/reject safeguard: once the terminal norm bottoms out at the
         # CG-tolerance floor, later stages can jitter upward; keep the best
         # control and stop at the first stage whose norm exceeds it
-        if raw <= best or h is None:
+        accepted = raw <= best or h is None
+        if accepted:
             h, u, best = h_new, u_new, raw
-            accepted = True
-        else:
-            accepted = False
         jn = eval_Jn(u, h, stage, grid)
         cw = _weighted_norm(stage.Wstar, stage.kappa2, h, grid)
         sw = _weighted_norm(stage.W0, stage.kappa2, u, grid)
@@ -341,6 +331,4 @@ def _check_source_weight(g: np.ndarray, prob: LinearControlProblem) -> None:
         return
     top = float(np.max(lw[interior][active] + 2.0 * np.log(np.abs(g[interior][active]))))
     if not np.isfinite(top):
-        raise SourceWeightDivergence(
-            "source term has divergent rho0-weighted energy near t = T"
-        )
+        raise SourceWeightDivergence("source has divergent rho0-weighted energy near t = T")

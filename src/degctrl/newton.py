@@ -87,8 +87,7 @@ def local_null_control(
 
     history: List[NewtonState] = []
     u = np.zeros((grid.nt + 1, grid.nx + 1))
-    h = None
-    g_prev = None
+    h = g_prev = None
     prev_step: Optional[LogValue] = None
     grow = 0
     converged = False

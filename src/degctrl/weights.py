@@ -239,6 +239,8 @@ def build_weight_fields(
     top = math.exp(3.0 * lam * psi.psi_inf)
     beta = eta - top  # < 0 since eta <= exp(2 lam |psi|_inf) < top
     beta_bar = float(np.max(beta))
+    if not math.isfinite(s * beta_bar):
+        raise OverflowError("s * e^{3 lambda |psi|_inf} overflows float64")
     if params.M is None:
         params.M = s * beta_bar / 2.0
     if not (s * beta_bar < params.M < 0.0):
@@ -331,5 +333,4 @@ def build_truncated_fields(
         log_rhostar_n=log_rhostar_n,
         omega_mask=mask,
     )
-    out = WeightFields(**{**fields.__dict__, "trunc": trunc})
-    return out
+    return WeightFields(**{**fields.__dict__, "trunc": trunc})

@@ -121,6 +121,28 @@ class TestExitCodes:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "carleman.lambda" in capsys.readouterr().err
 
+    def test_scaled_weight_overflow_is_config_error(self, tmp_path, capsys):
+        # e^{3 lambda |psi|_inf} is finite here, s times it is not
+        overrides = {"carleman.s": 2.0, "carleman.lambda": 757.0,
+                     "discretization.nx": 2, "discretization.nt": 2,
+                     "discretization.gamma": 1.0, "problem.a.alpha": 0.78125,
+                     "verify.checks": ["carleman_phi"]}
+        cfg = write_cfg(tmp_path, overrides)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "carleman.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["null-control", "null-control-nonlinear"])
+    def test_window_without_nodes_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, {"discretization.nx": 2})  # nodes 0, 0.25, 1
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "problem.omega" in capsys.readouterr().err
+
+    def test_zero_datum_exits_zero(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 0.0})
+        out = tmp_path / "o"
+        assert main(["null-control", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "summary.json").read_text())["reduction"] == 0.0
+
     @pytest.mark.parametrize("kind, alpha", [("power", -0.5), ("power_cosine", 1.5)])
     def test_alpha_out_of_range_is_config_error(self, tmp_path, capsys, kind, alpha):
         cfg = write_cfg(tmp_path, {"problem.a": {"kind": kind, "alpha": alpha}})
@@ -161,6 +183,38 @@ class TestVerifyExitCodeFuzz:
             if code in (0, 1):  # an assertion failure is reported after its outputs
                 assert os.path.exists(os.path.join(out, "summary.json"))
 
+
+
+class TestControlExitCodeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["null-control", "null-control-nonlinear"]),
+        nx=st.integers(2, 16),
+        nt=st.integers(2, 16),
+        schedule=st.one_of(
+            st.lists(st.floats(1.0, 1e8), min_size=1, max_size=4, unique=True).map(sorted),
+            st.lists(st.floats(0.5, 1e8), max_size=4),
+        ),
+        cg_tol=st.one_of(st.floats(0.0, 1e-4), st.floats(0.0, 10.0)),
+        cg_maxit=st.integers(1, 60),
+        amplitude=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)),
+    )
+    def test_exit_code_is_documented(
+        self, command, nx, nt, schedule, cg_tol, cg_maxit, amplitude
+    ):
+        raw = json.loads(json.dumps(BASE))
+        raw["problem"]["u0"]["amplitude"] = amplitude
+        raw["discretization"].update(nx=nx, nt=nt)
+        raw["hum"] = {"schedule": schedule, "cg_tol": cg_tol, "cg_maxit": cg_maxit}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "o")
+            with open(cfg, "w") as fh:
+                json.dump(raw, fh)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--config", cfg, "--out", out, "--quiet"])
+            assert code in (0, 1, 2, 3)
+            if code in (0, 1):  # an assertion failure is reported after its outputs
+                assert os.path.exists(os.path.join(out, "summary.json"))
 
 class TestPipelines:
     def test_solve_forward_outputs(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -14,7 +15,7 @@ from degctrl import (
 )
 from degctrl import hum, pde
 from degctrl.cli import _control_problem
-from degctrl.config import load_config
+from degctrl.config import load_config, parse_config
 from degctrl.hum import _control_inner
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
@@ -205,3 +206,71 @@ class TestDefaultConfigCounts:
         assert sum(st.cg_iters for st in res.stages if st.accepted) == 59
         assert counts == {"forward": 95, "adjoint": 91, "eigh": 1}
         assert res.terminal_norm == 1.3501312499624691e-05
+
+
+def _dual_norm(v, stage, grid):
+    """||v|| in the Wstar^-1 norm over the control window."""
+    w = np.zeros_like(v)
+    w[1:-1] = v[1:-1] / stage.Wstar[1:-1]
+    w[:, stage.outside] = 0.0
+    return np.sqrt(_control_inner(v, w, grid))
+
+
+def _default_config(**disc):
+    raw = json.loads(open(DEFAULT_CONFIG).read())
+    raw.setdefault("discretization", {}).update(disc)
+    return parse_config(raw)
+
+
+class TestRelativeStop:
+    """CG stops at cg_tol relative to ||b||, not to the warm-start residual."""
+
+    @pytest.mark.parametrize("disc", [{}, {"nx": 24, "nt": 20}])
+    def test_every_stage_meets_its_tolerance(self, disc):
+        cfg = _default_config(**disc)
+        prob = _control_problem(cfg)
+        u0, sched = cfg.problem.u0, cfg.schedule
+        zeros = np.zeros_like(prob.c)
+        h = None
+        for n in sched.ns:
+            stage = build_stage(prob, n)
+            h, _, _, converged = minimize_Jn(
+                stage, None, u0, h, prob, tol=sched.cg_tol, maxit=sched.cg_maxit
+            )
+            assert converged
+            r = grad_Jn(h, stage, None, u0, prob)[0]
+            b = grad_Jn(zeros, stage, None, u0, prob)[0]
+            grid = prob.grid
+            assert _dual_norm(r, stage, grid) <= 10 * sched.cg_tol * _dual_norm(b, stage, grid)
+
+    def test_count_does_not_follow_rounding(self):
+        cfg = _default_config()
+        prob = _control_problem(cfg)
+        u0 = cfg.problem.u0
+        base = solve_null_control(None, u0, cfg.schedule, prob).stages
+        assert not base[-1].accepted
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            u0p = u0 * (1.0 + 1e-14 * rng.standard_normal(u0.shape))
+            stages = solve_null_control(None, u0p, cfg.schedule, prob).stages
+            assert len(stages) == len(base) and not stages[-1].accepted
+            assert abs(stages[-1].cg_iters - base[-1].cg_iters) <= 2
+
+    def test_converged_warm_start_runs_no_iteration(self, bench32):
+        stage = build_stage(bench32, 10.0)
+        u0 = _sine_datum(bench32.grid)
+        h, _, iters, _ = minimize_Jn(stage, None, u0, None, bench32)
+        assert iters > 0
+        h2, _, iters2, converged = minimize_Jn(stage, None, u0, h, bench32)
+        assert converged and iters2 == 0
+        assert np.array_equal(h2, h)
+
+    def test_zero_datum_gives_zero_control(self, bench32):
+        u0 = np.zeros(bench32.grid.nx + 1)
+        res = solve_null_control(None, u0, PenaltySchedule(), bench32)
+        assert all(st.cg_iters == 0 and st.converged for st in res.stages)
+        assert not res.h.any()
+        stage = build_stage(bench32, 10.0)
+        warm = np.ones_like(res.h)
+        h, _, iters, converged = minimize_Jn(stage, None, u0, warm, bench32)
+        assert converged and iters == 0 and not h.any()
