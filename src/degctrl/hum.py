@@ -331,4 +331,6 @@ def _check_source_weight(g: np.ndarray, prob: LinearControlProblem) -> None:
         return
     top = float(np.max(lw[interior][active] + 2.0 * np.log(np.abs(g[interior][active]))))
     if not np.isfinite(top):
-        raise SourceWeightDivergence("source has divergent rho0-weighted energy near t = T")
+        raise SourceWeightDivergence(
+            "source term has divergent rho0-weighted energy near t = T"
+        )

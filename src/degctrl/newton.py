@@ -77,8 +77,6 @@ def local_null_control(
     below while the iteration converges.
     """
     grid = prob.grid
-    u0 = pd.u0
-    c = prob.c
     # residual sources are measured with the squared rho0 weights under the
     # shift-and-cap of the control functional (the exact weights overflow)
     lw = 2.0 * prob.fields.log_rho0
@@ -93,7 +91,7 @@ def local_null_control(
     converged = False
 
     for k in range(maxit):
-        g = residual_source(u, pd, c, prob)
+        g = residual_source(u, pd, prob.c, prob)
         res_norm = _weighted_norm(W, kappa2, g, grid)
         step_norm = None
         if g_prev is not None:
@@ -104,7 +102,7 @@ def local_null_control(
                     f"step norm grew {grow} consecutive iterations "
                     f"(iteration {k}); initial datum outside the local basin"
                 )
-        result = solve_null_control(g, u0, schedule, prob)
+        result = solve_null_control(g, pd.u0, schedule, prob)
         u, h = result.u, result.h
         history.append(
             NewtonState(
