@@ -217,7 +217,8 @@ def _dual_norm(v, stage, grid):
 
 
 def _default_config(**disc):
-    raw = json.loads(open(DEFAULT_CONFIG).read())
+    with open(DEFAULT_CONFIG) as fh:
+        raw = json.load(fh)
     raw.setdefault("discretization", {}).update(disc)
     return parse_config(raw)
 
@@ -229,7 +230,7 @@ class TestRelativeStop:
     def test_every_stage_meets_its_tolerance(self, disc):
         cfg = _default_config(**disc)
         prob = _control_problem(cfg)
-        u0, sched = cfg.problem.u0, cfg.schedule
+        grid, u0, sched = prob.grid, cfg.problem.u0, cfg.schedule
         zeros = np.zeros_like(prob.c)
         h = None
         for n in sched.ns:
@@ -240,7 +241,6 @@ class TestRelativeStop:
             assert converged
             r = grad_Jn(h, stage, None, u0, prob)[0]
             b = grad_Jn(zeros, stage, None, u0, prob)[0]
-            grid = prob.grid
             assert _dual_norm(r, stage, grid) <= 10 * sched.cg_tol * _dual_norm(b, stage, grid)
 
     def test_count_does_not_follow_rounding(self):
