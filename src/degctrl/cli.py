@@ -33,7 +33,7 @@ from .errors import (
     SourceWeightDivergence,
     ZeroDenominator,
 )
-from .grid import integrate_space
+from .grid import l2_norm
 from .hum import LinearControlProblem, solve_null_control
 from .newton import local_null_control
 from .pde import assemble_degenerate_operator, forward_solve_nonlinear
@@ -120,12 +120,11 @@ def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig)
 def cmd_solve_forward(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     grid = cfg.grid
     op = assemble_degenerate_operator(cfg.problem.a, grid)
-    h = np.zeros((grid.nt + 1, grid.nx + 1))
     t0 = time.perf_counter()
-    u = forward_solve_nonlinear(cfg.problem, h, grid, op)
+    u = forward_solve_nonlinear(cfg.problem, None, grid, op)
     wall = time.perf_counter() - t0
     _write_trajectory(out, "trajectory.csv", u, cfg)
-    final = float(np.sqrt(integrate_space(u[-1] ** 2, grid)))
+    final = l2_norm(u[-1], grid)
     _write_summary(
         out, cfg, "solve-forward",
         {"final_l2_norm": final, "wall_seconds": wall},
@@ -169,7 +168,7 @@ def cmd_null_control(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     write_csv(os.path.join(out, "stages.csv"), _STAGE_HEADER, _stage_rows(res.stages))
     _write_trajectory(out, "state.csv", res.u, cfg)
     _write_trajectory(out, "control.csv", res.h, cfg)
-    u0_norm = float(np.sqrt(integrate_space(cfg.problem.u0**2, cfg.grid)))
+    u0_norm = l2_norm(cfg.problem.u0, cfg.grid)
     reduction = res.terminal_norm / max(u0_norm, 1e-300)  # as in hum's success test
     _write_summary(
         out, cfg, "null-control",
@@ -213,7 +212,7 @@ def cmd_null_control_nonlinear(cfg: ExperimentConfig, out: str, quiet: bool) -> 
     )
     _write_trajectory(out, "state.csv", u_nl, cfg)
     _write_trajectory(out, "control.csv", h, cfg)
-    u0_norm = float(np.sqrt(integrate_space(cfg.problem.u0**2, cfg.grid)))
+    u0_norm = l2_norm(cfg.problem.u0, cfg.grid)
     replay = history[-1].terminal_norm_nonlinear
     ok = converged and replay is not None and replay <= cfg.schedule.tol_terminal * u0_norm
     _write_summary(

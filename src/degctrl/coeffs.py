@@ -1,5 +1,5 @@
 """Problem coefficients: degenerate diffusion a, nonlocal factor l, semilinear
-term f, and the derived linearized potential c(t,x) = df/du(t,x,0)."""
+term f, and the derived linearized potential c = df/du(t,x,0), a number."""
 
 from __future__ import annotations
 
@@ -221,15 +221,19 @@ def eval_b(coeff: DegeneracyCoefficient, ell: NonlocalFactor, x, r: float):
     return ell.ell(float(r)) * coeff(x)
 
 
-def linearized_potential(f: SemilinearTerm, grid: SpaceTimeGrid) -> np.ndarray:
-    """Tabulate c(t_j, x_i) = df/du(t_j, x_i, 0) on the grid."""
+def linearized_potential(f: SemilinearTerm, grid: SpaceTimeGrid) -> float:
+    """The potential c = df/du(t, x, 0) of the linearized equation, as the one
+    number the solvers take.  Raises ValueError unless it is finite and the
+    same at every node of the grid."""
     z = np.zeros(grid.nx + 1)
     c = np.empty((grid.nt + 1, grid.nx + 1))
     for j, t in enumerate(grid.t):
         c[j] = np.asarray(f.df_du(float(t), grid.x, z), dtype=float)
     if not np.isfinite(c).all():
         raise ValueError("linearized potential not finite on the grid")
-    return c
+    if not (c == c[0, 0]).all():
+        raise ValueError("linearized potential df/du(t, x, 0) varies over the grid")
+    return float(c[0, 0])
 
 
 @dataclass

@@ -109,6 +109,8 @@ def _build_u0(block: dict, grid: SpaceTimeGrid) -> np.ndarray:
         amp = float(
             _get(block, "amplitude", "problem.u0.amplitude", (int, float), default=1.0)
         )
+        if not np.isfinite(amp):
+            raise ConfigError("problem.u0.amplitude", f"must be finite, got {amp}")
         return amp * np.sin(np.pi * grid.x)
     raise ConfigError("problem.u0.kind", f"unknown initial-datum kind {kind!r}")
 
@@ -118,7 +120,7 @@ class ExperimentConfig:
     raw: dict
     grid: SpaceTimeGrid
     problem: ProblemData
-    c: np.ndarray  # linearized potential on the grid
+    c: float  # linearized potential df/du(t, x, 0)
     s: float
     lam: float
     omega_prime_margin: float
@@ -160,8 +162,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len(omega) != 2:
         raise ConfigError("problem.omega", "expected [x_left, x_right]")
     a = _build_a(pb.get("a", {}))
-    ell = _build_ell(pb.get("ell", {}))
-    f = _build_f(pb.get("f", {}))
+    try:
+        ell = _build_ell(pb.get("ell", {}))
+    except ValueError as exc:  # a non-finite slope fails l's own checks
+        raise ConfigError("problem.ell", str(exc)) from exc
+    try:
+        f = _build_f(pb.get("f", {}))
+        c = linearized_potential(f, grid)
+    except ValueError as exc:  # and so do non-finite coefficients of f
+        raise ConfigError("problem.f", str(exc)) from exc
     u0 = _build_u0(pb.get("u0", {}), grid)
     try:
         problem = ProblemData(
@@ -169,7 +178,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from exc
-    c = linearized_potential(f, grid)
 
     car = merged["carleman"]
     s = float(_get(car, "s", "carleman.s", (int, float), low=1e-12))

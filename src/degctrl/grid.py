@@ -174,6 +174,17 @@ def integrate_space(values: np.ndarray, grid: SpaceTimeGrid):
     return float(total) if values.ndim == 1 else total
 
 
+def l2_norm(row: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """sqrt(integrate_space(row**2)).  A finite row whose squares overflow
+    float64 is scaled by max|row| first, so that a finite norm stays finite."""
+    with np.errstate(over="ignore"):
+        sq = integrate_space(row**2, grid)
+    top = float(np.max(np.abs(row)))
+    if sq == np.inf and np.isfinite(top):
+        return top * l2_norm(row / top, grid)
+    return float(np.sqrt(sq))
+
+
 def integrate_spacetime_logweight(
     logw: np.ndarray, values: np.ndarray, grid: SpaceTimeGrid
 ) -> LogValue:

@@ -24,8 +24,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import SourceWeightDivergence
-from .grid import LogValue, SpaceTimeGrid, integrate_space
+from .errors import NonFiniteTrajectory, SourceWeightDivergence
+from .grid import LogValue, SpaceTimeGrid, l2_norm
 from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear
 from .weights import WeightFields, build_truncated_fields
 
@@ -62,11 +62,11 @@ class PenaltySchedule:
 @dataclass
 class LinearControlProblem:
     """Frozen context for the linear control solves: grid, discrete operator,
-    potential c(t,x), control window and weight tabulations."""
+    potential c (a number), control window and weight tabulations."""
 
     grid: SpaceTimeGrid
     op: DegenerateOperator
-    c: np.ndarray
+    c: float
     omega: tuple
     fields: WeightFields
     log_weight_cap: float = DEFAULT_CAP
@@ -219,10 +219,11 @@ def minimize_Jn(
     r.z falls to tol**2 (b, Wstar^-1 b): the residual is relative to ||b||,
     both in the Wstar^-1 norm over the window, so a warm start that already
     meets it runs no iteration.  Returns (h, u, iters, converged), u being
-    the state of the returned control.
+    the state of the returned control.  Raises NonFiniteTrajectory when
+    (b, Wstar^-1 b) overflows float64.
     """
     grid = prob.grid
-    zeros = np.zeros_like(prob.c)
+    zeros = np.zeros((grid.nt + 1, grid.nx + 1))
 
     def apply_A(hv):
         return grad_Jn(hv, stage, None, zeros[0], prob)[0]
@@ -233,7 +234,11 @@ def minimize_Jn(
         return w
 
     b = grad_Jn(zeros, stage, g, u0, prob)[0]
-    stop = tol**2 * _control_inner(b, precond(b), grid)
+    with np.errstate(over="ignore"):
+        b_sq = _control_inner(b, precond(b), grid)
+    if not np.isfinite(b_sq):
+        raise NonFiniteTrajectory("the norm of the CG right-hand side overflows float64")
+    stop = tol**2 * b_sq
     # b = 0 is solved by h = 0 exactly, whatever the warm start
     h = zeros.copy() if h_init is None or not b.any() else h_init.copy()
     h[:, stage.outside] = 0.0
@@ -263,7 +268,7 @@ def minimize_Jn(
 
 
 def terminal_l2(u: np.ndarray, grid: SpaceTimeGrid) -> float:
-    return float(np.sqrt(integrate_space(u[-1] ** 2, grid)))
+    return l2_norm(u[-1], grid)
 
 
 def solve_null_control(
@@ -316,8 +321,7 @@ def solve_null_control(
         if not accepted:
             break
     tnorm = stages[-1].terminal_norm
-    u0n = float(np.sqrt(integrate_space(u0 * u0, grid)))
-    success = tnorm <= schedule.tol_terminal * max(u0n, 1e-300)
+    success = tnorm <= schedule.tol_terminal * max(l2_norm(u0, grid), 1e-300)
     return NullControlResult(h=h, u=u, stages=stages, terminal_norm=tnorm, success=success)
 
 

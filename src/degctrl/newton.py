@@ -43,9 +43,7 @@ class NewtonState:
     terminal_norm_nonlinear: Optional[float] = None
 
 
-def residual_source(
-    u: np.ndarray, pd: ProblemData, c: np.ndarray, prob: LinearControlProblem
-) -> np.ndarray:
+def residual_source(u: np.ndarray, pd: ProblemData, prob: LinearControlProblem) -> np.ndarray:
     """Source g(u) that makes the zero-linearized equation reproduce the
     nonlinear one: g = -[f(t,x,u) - c u] + [(ell(int u) - 1) (a u_x)_x],
     with the same discrete operator as the solvers (u_t - ell (a u_x)_x + f
@@ -56,7 +54,7 @@ def residual_source(
     fval = np.array([pd.f.f(t, grid.x, row) for t, row in zip(ts, rows)], float)
     lfac = np.array([float(pd.ell.ell(r)) - 1.0 for r in integrate_space(rows, grid)])
     g = np.zeros_like(u)
-    g[1:] = -(fval - c[1:] * rows) + lfac[:, None] * apply_operator(prob.op, rows)
+    g[1:] = -(fval - prob.c * rows) + lfac[:, None] * apply_operator(prob.op, rows)
     g[:, [0, -1]] = 0.0
     return g
 
@@ -91,7 +89,7 @@ def local_null_control(
     converged = False
 
     for k in range(maxit):
-        g = residual_source(u, pd, prob.c, prob)
+        g = residual_source(u, pd, prob)
         res_norm = _weighted_norm(W, kappa2, g, grid)
         step_norm = None
         if g_prev is not None:

@@ -6,25 +6,29 @@ weighted inner product.  The backward solver is the exact discrete adjoint of
 the forward map (discretize-then-optimize), which the control iterations
 rely on.
 
-The linear solvers have two step kernels, chosen from the input:
+The potential c of the linear solvers is a number (every built-in f gives
+one) or, for library callers, an (nt+1, nx+1) table.  A number gets one of
+two step kernels, built once per (dt, c) and cached on the operator, so a
+whole control solve builds it once:
 
-- Modal, when the potential c is the same in every time row (every built-in
-  f gives such a c) and nx <= MODAL_MAX_NX.  Self-adjointness makes
-  D^{1/2} M D^{-1/2} symmetric for the step matrix M = I/dt - L + diag(c),
-  D the dual widths, so one eigh_tridiagonal diagonalizes every step.  A
-  solve is then one GEMM into modal coordinates, a per-mode doubling scan of
-  the recurrence w_j = w_{j-1}/(dt mu) + ..., and one GEMM back.  Results
-  agree with the LAPACK kernel to about 1e-13 relative (not bit for bit).
-  The control CG amplifies that: on 17 control inputs at the default grid
-  a penalty stage's CG count differed by up to 9 between the two kernels.
-- LAPACK otherwise: dgttrs per step, with the step matrix factored by dgttrf
-  (once per row when c varies in time).
+- Modal, for nx <= MODAL_MAX_NX.  Self-adjointness makes D^{1/2} M D^{-1/2}
+  symmetric for the step matrix M = I/dt - L + c I, D the dual widths, so
+  one eigh_tridiagonal diagonalizes every step.  A solve is then one GEMM
+  into modal coordinates, a per-mode doubling scan of the recurrence
+  w_j = w_{j-1}/(dt mu) + ..., and one GEMM back.  Results agree with the
+  LAPACK kernel to about 1e-13 relative (not bit for bit).  The control CG
+  amplifies that: on 17 control inputs at the default grid a penalty
+  stage's CG count differed by up to 9 between the two kernels.
+- LAPACK above: dgttrs per step, with the step matrix factored once by
+  dgttrf.
 
-The kernel of a c that is the same in every row (eigenbasis or dgttrf
-factors) is cached on the operator, so a whole control solve builds it once.
+A table is factored once per time row.  The forward and the adjoint solve
+are one implicit-Euler march, run forward or backward in time.
 
 The Picard stepper of the nonlinear solve calls dgtsv, since its matrix
-changes with every inner iterate.
+changes with every inner iterate.  scipy's LAPACK wrappers reject small
+systems, dgttrf one or two interior nodes (nx <= 3) and dgtsv one (nx = 2):
+such steps go through dgtsv, and a 1 x 1 step is a division.
 """
 
 from __future__ import annotations
@@ -120,10 +124,10 @@ def apply_operator(op: DegenerateOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_bands(op: DegenerateOperator, dt: float, ell: float, c_row):
-    """(lower, diag, upper) bands of I/dt - ell*L + diag(c_row) on interior
-    nodes, in the layout of LAPACK's tridiagonal routines."""
-    return -ell * op.lower[1:], 1.0 / dt - ell * op.diag + c_row, -ell * op.upper[:-1]
+def _step_bands(op: DegenerateOperator, dt: float, ell: float, c):
+    """(lower, diag, upper) bands of I/dt - ell*L + diag(c) on interior
+    nodes (c a number or a row), in the layout of LAPACK's routines."""
+    return -ell * op.lower[1:], 1.0 / dt - ell * op.diag + c, -ell * op.upper[:-1]
 
 
 def _raise_if_singular(info: int) -> None:
@@ -131,15 +135,31 @@ def _raise_if_singular(info: int) -> None:
         raise np.linalg.LinAlgError(f"singular step matrix (zero pivot at row {info})")
 
 
-def _factor(bands) -> tuple:
+def _solve_bands(bands, rhs: np.ndarray) -> np.ndarray:
+    """M^{-1} rhs for the step matrix M of these bands: dgtsv, or a division
+    for one interior node, which scipy's wrapper rejects."""
+    if bands[1].size == 1:
+        _raise_if_singular(int(bands[1][0] == 0.0))
+        return rhs / bands[1]
+    *_, x, info = dgtsv(*bands, rhs)
+    _raise_if_singular(info)
+    return x
+
+
+def _factor(bands):
+    """rhs -> M^{-1} rhs for the step matrix M of these bands (rhs may be
+    overwritten): dgttrf factors and dgttrs, or _solve_bands below three
+    interior nodes, which scipy's dgttrf wrapper rejects."""
+    if bands[1].size < 3:
+        return lambda rhs: _solve_bands(bands, rhs)
     *lu, info = dgttrf(*bands)
     _raise_if_singular(info)
-    return tuple(lu)
+    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
 @dataclass(frozen=True)
 class _ModalFactors:
-    """Eigenbasis of the step matrix M = I/dt - L + diag(c_row).
+    """Eigenbasis of the step matrix M = I/dt - L + c I.
 
     M is self-adjoint in the dual-cell inner product, so S = D^{1/2} M D^{-1/2}
     is symmetric tridiagonal, S = Q diag(mu) Q^T, and M^{-1} =
@@ -164,21 +184,20 @@ def _modal_factors(op: DegenerateOperator, dt: float, bands) -> _ModalFactors:
     )
 
 
-def _step_kernel(op: DegenerateOperator, dt: float, c: np.ndarray):
-    """The step kernel shared by every row when c is the same in every time
-    row: _ModalFactors for nx <= MODAL_MAX_NX, the dgttrf factors above.
-    None when c varies in time.
+def _step_kernel(op: DegenerateOperator, dt: float, c):
+    """The step kernel of a number c: _ModalFactors for nx <= MODAL_MAX_NX,
+    the _factor solve above.  None for a table c, which is factored row by
+    row.
 
-    The kernel is cached on op, keyed by dt and the c row, so a control solve
-    builds it once for all its forward and adjoint solves.  Raises
-    LinAlgError for a singular step matrix.
+    The kernel is cached on op, keyed by (dt, c), so a control solve builds
+    it once for all its forward and adjoint solves.  Raises LinAlgError for
+    a singular step matrix.
     """
-    rows = c[1:, 1:-1]
-    if not (rows == rows[0]).all():
+    if isinstance(c, np.ndarray):
         return None
-    key = (dt, rows[0].tobytes())
+    key = (dt, c)
     if op.step_kernel is None or op.step_kernel[0] != key:
-        bands = _step_bands(op, dt, 1.0, rows[0])
+        bands = _step_bands(op, dt, 1.0, c)
         modal = op.diag.size + 1 <= MODAL_MAX_NX
         op.step_kernel = (key, _modal_factors(op, dt, bands) if modal else _factor(bands))
     return op.step_kernel[1]
@@ -202,14 +221,39 @@ def _modal_march(m: _ModalFactors, b: np.ndarray) -> np.ndarray:
         return w @ m.to_nodal
 
 
-def _require_finite(traj: np.ndarray) -> np.ndarray:
+def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
+    """A trajectory whose interior rows solve M_j x_j = x_prev/dt plus the
+    sources' rows j (each None for zero, added in order), with x_prev = start
+    at the first step, for j = 1, ..., nt or, backward, j = nt, ..., 1.  Row
+    0 stays zero.  Raises like forward_solve_linear."""
+    dt = grid.dt
+    traj = np.zeros((grid.nt + 1, grid.nx + 1))
+    rows = slice(None, 0, -1) if backward else slice(1, None)
+    out = traj[rows, 1:-1]
+    srcs = [s[rows, 1:-1] for s in sources if s is not None]
+    kernel = _step_kernel(op, dt, c)
+    if isinstance(kernel, _ModalFactors):
+        b = np.zeros(out.shape)
+        b[0] = start / dt
+        for s in srcs:
+            b += s
+        out[...] = _modal_march(kernel, b)
+    else:
+        c_rows = None if kernel else c[rows, 1:-1]
+        x = start
+        for k in range(grid.nt):
+            solve = kernel or _factor(_step_bands(op, dt, 1.0, c_rows[k]))
+            rhs = x / dt
+            for s in srcs:
+                rhs += s[k]
+            x = out[k] = solve(rhs)
     if not np.isfinite(traj).all():
         raise NonFiniteTrajectory("non-finite values in the solved trajectory")
     return traj
 
 
 def forward_solve_linear(
-    c: np.ndarray,
+    c,
     g: Optional[np.ndarray],
     h: Optional[np.ndarray],
     u0: np.ndarray,
@@ -218,39 +262,21 @@ def forward_solve_linear(
 ) -> np.ndarray:
     """Implicit Euler for u_t - (a u_x)_x + c u = h + g.
 
-    c, g, h are (nt+1, nx+1) tabulations (g/h may be None for zero); h is
-    used as given — restriction to the control window is the caller's job.
-    Returns the full (nt+1, nx+1) trajectory with exact Dirichlet rows.
-    Raises LinAlgError for a singular step matrix and NonFiniteTrajectory
-    (a ValueError) for a non-finite trajectory.
+    c is a number or an (nt+1, nx+1) table; g, h are (nt+1, nx+1)
+    tabulations (None for zero); h is used as given — restriction to the
+    control window is the caller's job.  Returns the full (nt+1, nx+1)
+    trajectory with exact Dirichlet rows.  Raises LinAlgError for a singular
+    step matrix and NonFiniteTrajectory (a ValueError) for a non-finite
+    trajectory.
     """
-    nt, nx, dt = grid.nt, grid.nx, grid.dt
-    u = np.zeros((nt + 1, nx + 1))
+    u = _march(c, u0[1:-1], (h, g), grid, op)
     u[0, 1:-1] = u0[1:-1]
-    kernel = _step_kernel(op, dt, c)
-    if isinstance(kernel, _ModalFactors):
-        b = np.zeros((nt, nx - 1))
-        b[0] = u[0, 1:-1] / dt
-        if h is not None:
-            b += h[1:, 1:-1]
-        if g is not None:
-            b += g[1:, 1:-1]
-        u[1:, 1:-1] = _modal_march(kernel, b)
-        return _require_finite(u)
-    for j in range(1, nt + 1):
-        lu = kernel or _factor(_step_bands(op, dt, 1.0, c[j, 1:-1]))
-        rhs = u[j - 1, 1:-1] / dt
-        if h is not None:
-            rhs += h[j, 1:-1]
-        if g is not None:
-            rhs += g[j, 1:-1]
-        u[j, 1:-1] = dgttrs(*lu, rhs, overwrite_b=1)[0]
-    return _require_finite(u)
+    return u
 
 
 def adjoint_solve(
     source: np.ndarray,
-    c: np.ndarray,
+    c,
     grid: SpaceTimeGrid,
     op: DegenerateOperator,
     terminal: Optional[np.ndarray] = None,
@@ -264,24 +290,10 @@ def adjoint_solve(
     duality_pairing(source, u) = duality_pairing(p, h) for u the forward
     solution with u0 = 0 and control h.  Raises like forward_solve_linear.
     """
-    nt, nx, dt = grid.nt, grid.nx, grid.dt
-    p = np.zeros((nt + 1, nx + 1))
-    kernel = _step_kernel(op, dt, c)
-    if isinstance(kernel, _ModalFactors):
-        b = source[:0:-1, 1:-1].copy()  # rows nt, ..., 1
-        if terminal is not None:
-            b[0] += np.asarray(terminal)[1:-1] / dt
-        p[:0:-1, 1:-1] = _modal_march(kernel, b)
-        p[0] = p[1]
-        return _require_finite(p)
-    p_next = np.zeros(nx - 1) if terminal is None else np.asarray(terminal)[1:-1]
-    for j in range(nt, 0, -1):
-        lu = kernel or _factor(_step_bands(op, dt, 1.0, c[j, 1:-1]))
-        rhs = p_next / dt + source[j, 1:-1]
-        p_next = dgttrs(*lu, rhs, overwrite_b=1)[0]
-        p[j, 1:-1] = p_next
+    end = np.zeros(grid.nx - 1) if terminal is None else np.asarray(terminal)[1:-1]
+    p = _march(c, end, (source,), grid, op, backward=True)
     p[0] = p[1]
-    return _require_finite(p)
+    return p
 
 
 def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid):
@@ -325,8 +337,7 @@ def forward_solve_nonlinear(
             fk = np.asarray(f(tj, x[1:-1], uk[1:-1]), dtype=float)
             dfk = np.asarray(df(tj, x[1:-1], uk[1:-1]), dtype=float)
             rhs = base - fk + dfk * uk[1:-1]
-            *_, x_new, info = dgtsv(*_step_bands(op, dt, lk, dfk), rhs)
-            _raise_if_singular(info)
+            x_new = _solve_bands(_step_bands(op, dt, lk, dfk), rhs)
             if not np.isfinite(x_new).all():
                 raise PicardDivergence(
                     f"non-finite inner iterate at t={tj:.4g} (iteration {it})"

@@ -162,7 +162,7 @@ def carleman_check(
     kind: str,
     F: np.ndarray,
     terminal: Optional[np.ndarray],
-    c: np.ndarray,
+    c: float,
     fields: WeightFields,
     grid: SpaceTimeGrid,
     op: DegenerateOperator,
@@ -342,8 +342,7 @@ def load_golden_caps() -> dict:
 
 
 def _free_state(cfg, op: DegenerateOperator, u0: np.ndarray) -> np.ndarray:
-    zeros = np.zeros((cfg.grid.nt + 1, cfg.grid.nx + 1))
-    return forward_solve_linear(cfg.c, zeros, zeros, u0, cfg.grid, op)
+    return forward_solve_linear(cfg.c, None, None, u0, cfg.grid, op)
 
 
 def _hardy(cfg, op, fields, rng) -> InequalityReport:
@@ -360,8 +359,7 @@ def _energy(cfg, op, fields, rng) -> InequalityReport:
     grid = cfg.grid
     u0 = random_profile(grid, rng)
     F = random_smooth_field(grid, rng)
-    zeros = np.zeros((grid.nt + 1, grid.nx + 1))
-    u = forward_solve_linear(cfg.c, F, zeros, u0, grid, op)
+    u = forward_solve_linear(cfg.c, F, None, u0, grid, op)
     return energy_estimate_ratio(u, F, grid, op)
 
 

@@ -28,9 +28,8 @@ def make_control_problem(nx=64, nt=64, s=1.0, lam=2.0, cap=40.0):
     a = power_coefficient(0.5)
     op = assemble_degenerate_operator(a, grid)
     fields = make_fields(a, grid, s=s, lam=lam)
-    c = np.ones((nt + 1, nx + 1))
     return LinearControlProblem(
-        grid=grid, op=op, c=c, omega=OMEGA, fields=fields, log_weight_cap=cap
+        grid=grid, op=op, c=1.0, omega=OMEGA, fields=fields, log_weight_cap=cap
     )
 
 

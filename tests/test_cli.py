@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 from types import SimpleNamespace
 
@@ -143,6 +144,43 @@ class TestExitCodes:
         assert main(["null-control", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         assert json.loads((out / "summary.json").read_text())["reduction"] == 0.0
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"problem.f": {"kind": "linear", "coeff": 1e309}}, "problem.f"),
+            ({"problem.f": {"kind": "polynomial", "coeffs": [1e308, 0.0, 1e308]}}, "problem.f"),
+            ({"problem.ell.slope": 1e309}, "problem.ell"),
+            ({"problem.u0.amplitude": float("nan")}, "problem.u0.amplitude"),
+            ({"problem.u0.amplitude": float("-inf")}, "problem.u0.amplitude"),
+        ],
+        ids=["f_coeff", "f_coeffs", "ell_slope", "u0_nan", "u0_inf"],
+    )
+    def test_non_finite_coefficient_is_config_error(self, tmp_path, capsys, overrides, key):
+        # 1e309 is inf in float64; json writes it as Infinity and reads it back
+        cfg = write_cfg(tmp_path, overrides)
+        code = main(["null-control", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude", [1e160, 1e200, 1e250])
+    def test_huge_datum_is_solver_error(self, tmp_path, capsys, amplitude):
+        # the L2 norms of u0 and u(T) are finite, the CG inner products are not
+        overrides = {"problem.u0.amplitude": amplitude,
+                     "discretization.nx": 16, "discretization.nt": 16}
+        cfg = write_cfg(tmp_path, overrides)
+        code = main(["null-control", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "NonFiniteTrajectory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve-forward", "null-control-nonlinear"])
+    def test_one_interior_node(self, tmp_path, command):
+        # nodes 0, 0.25, 1: every step is 1 x 1, and the window holds x = 0.25
+        overrides = {"discretization.nx": 2, "discretization.nt": 4, "problem.omega": [0.2, 0.8]}
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        _assert_finite_summary(out)
+
     @pytest.mark.parametrize("kind, alpha", [("power", -0.5), ("power_cosine", 1.5)])
     def test_alpha_out_of_range_is_config_error(self, tmp_path, capsys, kind, alpha):
         cfg = write_cfg(tmp_path, {"problem.a": {"kind": kind, "alpha": alpha}})
@@ -185,10 +223,21 @@ class TestVerifyExitCodeFuzz:
 
 
 
+def _assert_finite_summary(out):
+    """The norms and the reduction a run reports are finite numbers."""
+    doc = json.loads((out / "summary.json").read_text())
+    keys = ("final_l2_norm", "terminal_norm", "terminal_norm_replay", "initial_norm", "reduction")
+    for key in keys:
+        if key in doc:
+            assert isinstance(doc[key], float) and np.isfinite(doc[key]), (key, doc[key])
+
+
 class TestControlExitCodeFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
-        command=st.sampled_from(["null-control", "null-control-nonlinear"]),
+        command=st.sampled_from(["null-control", "null-control-nonlinear", "solve-forward"]),
+        # at nx = 2 the nodes are 0, 0.25 and 1: only the second window holds one
+        omega=st.sampled_from([[0.3, 0.8], [0.2, 0.8]]),
         nx=st.integers(2, 16),
         nt=st.integers(2, 16),
         schedule=st.one_of(
@@ -200,10 +249,11 @@ class TestControlExitCodeFuzz:
         amplitude=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)),
     )
     def test_exit_code_is_documented(
-        self, command, nx, nt, schedule, cg_tol, cg_maxit, amplitude
+        self, command, omega, nx, nt, schedule, cg_tol, cg_maxit, amplitude
     ):
         raw = json.loads(json.dumps(BASE))
         raw["problem"]["u0"]["amplitude"] = amplitude
+        raw["problem"]["omega"] = omega
         raw["discretization"].update(nx=nx, nt=nt)
         raw["hum"] = {"schedule": schedule, "cg_tol": cg_tol, "cg_maxit": cg_maxit}
         with tempfile.TemporaryDirectory() as tmp:
@@ -214,7 +264,8 @@ class TestControlExitCodeFuzz:
                 code = main([command, "--config", cfg, "--out", out, "--quiet"])
             assert code in (0, 1, 2, 3)
             if code in (0, 1):  # an assertion failure is reported after its outputs
-                assert os.path.exists(os.path.join(out, "summary.json"))
+                _assert_finite_summary(pathlib.Path(out))
+
 
 class TestPipelines:
     def test_solve_forward_outputs(self, tmp_path):

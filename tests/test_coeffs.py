@@ -84,12 +84,36 @@ class TestNonlocalAndSemilinear:
         # f = u^3 + u has df/du(0) = 1 everywhere
         grid = build_grid(8, 4, 1.0)
         c = linearized_potential(SemilinearTerm.polynomial([1.0, 0.0, 1.0]), grid)
-        np.testing.assert_allclose(c, 1.0)
+        assert type(c) is float and c == 1.0
 
     def test_sine_potential(self):
         grid = build_grid(8, 4, 1.0)
         c = linearized_potential(SemilinearTerm.sine(5.0), grid)
-        np.testing.assert_allclose(c, 5.0)
+        assert type(c) is float and c == 5.0
+
+    @pytest.mark.parametrize(
+        "term, want",
+        [
+            (SemilinearTerm.linear(2.0), 2.0),
+            (SemilinearTerm.sine(-3.0), -3.0),
+            (SemilinearTerm.logistic(1.5), 1.5),
+            (SemilinearTerm.polynomial([0.0, -2.0, 0.5]), 0.0),
+        ],
+        ids=["linear", "sine", "logistic", "polynomial"],
+    )
+    def test_potential_of_each_kind_is_a_number(self, term, want):
+        c = linearized_potential(term, build_grid(6, 5, 1.0))
+        assert type(c) is float and c == want
+
+    @pytest.mark.parametrize(
+        "df_du",
+        [lambda t, x, u: 1.0 + x + 0.0 * u, lambda t, x, u: (1.0 + t) * np.ones_like(u)],
+        ids=["depends_on_x", "depends_on_t"],
+    )
+    def test_potential_that_is_not_one_number_rejected(self, df_du):
+        term = SemilinearTerm(lambda t, x, u: df_du(t, x, u) * u, df_du)
+        with pytest.raises(ValueError, match="varies"):
+            linearized_potential(term, build_grid(6, 5, 1.0))
 
 
 class TestProblemData:

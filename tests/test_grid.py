@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from degctrl import LogValue, build_grid, integrate_space, integrate_spacetime_logweight
+from degctrl.grid import l2_norm
 
 finite_floats = st.floats(
     min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False
@@ -71,6 +72,16 @@ class TestGrid:
         g = build_grid(13, 4, 1.0, gamma=2.0)
         vals = 3.0 * g.x - 1.0
         assert integrate_space(vals, g) == pytest.approx(0.5, abs=1e-14)
+
+    def test_l2_norm_survives_overflowing_squares(self):
+        g = build_grid(13, 4, 1.0, gamma=2.0)
+        v = np.random.default_rng(3).standard_normal(g.nx + 1)
+        want = float(np.sqrt(integrate_space(v**2, g)))
+        assert l2_norm(v, g) == want  # the same bits where v**2 is finite
+        for scale in (1e160, 1e250, 1e300):
+            assert l2_norm(scale * v, g) == pytest.approx(scale * want, rel=1e-14)
+        assert l2_norm(np.where(v > 0, np.inf, v), g) == np.inf
+        assert np.isnan(l2_norm(np.where(v > 0, np.nan, v), g))
 
 
 class TestLogWeightQuadrature:

@@ -231,7 +231,7 @@ class TestRelativeStop:
         cfg = _default_config(**disc)
         prob = _control_problem(cfg)
         grid, u0, sched = prob.grid, cfg.problem.u0, cfg.schedule
-        zeros = np.zeros_like(prob.c)
+        zeros = np.zeros((grid.nt + 1, grid.nx + 1))
         h = None
         for n in sched.ns:
             stage = build_stage(prob, n)

@@ -25,7 +25,7 @@ class TestResidualSource:
         h = np.zeros((grid.nt + 1, grid.nx + 1))
         h[1:-1, 1:-1] = 0.1 * rng.standard_normal((grid.nt - 1, grid.nx - 1))
         u_nl = forward_solve_nonlinear(pd, h, grid, bench32.op)
-        g = residual_source(u_nl, pd, bench32.c, bench32)
+        g = residual_source(u_nl, pd, bench32)
         u_lin = forward_solve_linear(bench32.c, g, h, pd.u0, grid, bench32.op)
         assert np.max(np.abs(u_lin - u_nl)) <= 1e-10
 
@@ -43,7 +43,7 @@ class TestResidualSource:
             u0=pd.u0,
         )
         u = forward_solve_nonlinear(pd_lin, np.zeros((grid.nt + 1, grid.nx + 1)), grid, bench32.op)
-        g = residual_source(u, pd_lin, bench32.c, bench32)
+        g = residual_source(u, pd_lin, bench32)
         assert np.max(np.abs(g)) <= 1e-12
 
 

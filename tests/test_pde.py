@@ -137,6 +137,7 @@ def _reference_step(op, dt, c_row, rhs):
 
 
 def _reference_forward(c, g, h, u0, grid, op):
+    c = np.broadcast_to(c, (grid.nt + 1, grid.nx + 1))
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     u[0, 1:-1] = u0[1:-1]
     for j in range(1, grid.nt + 1):
@@ -150,6 +151,7 @@ def _reference_forward(c, g, h, u0, grid, op):
 
 
 def _reference_adjoint(source, c, grid, op, terminal):
+    c = np.broadcast_to(c, (grid.nt + 1, grid.nx + 1))
     p = np.zeros((grid.nt + 1, grid.nx + 1))
     p_next = terminal[1:-1]
     for j in range(grid.nt, 0, -1):
@@ -166,7 +168,7 @@ def _kernel_pairs(nx, nt, c_kind):
     op = assemble_degenerate_operator(power_coefficient(0.5), grid)
     rng = np.random.default_rng(11)
     shape = (grid.nt + 1, grid.nx + 1)
-    c = np.full(shape, 0.7) if c_kind == "constant" else rng.random(shape)
+    c = 0.7 if c_kind == "constant" else rng.random(shape)
     g, h, s = (rng.standard_normal(shape) for _ in range(3))
     u0 = np.sin(np.pi * grid.x)
     terminal = np.zeros(grid.nx + 1)
@@ -194,22 +196,33 @@ def _cached_kernel(op):
 
 class TestStepKernel:
     """The modal and the factored LAPACK kernels against a per-row banded
-    solve."""
+    solve.  A number c gets a cached kernel; a table c is factored per row."""
 
     @pytest.mark.parametrize(
-        "nx, nt, c_kind",
+        "nx, nt, c_kind, modal_max",
         [
-            pytest.param(MODAL_MAX_NX + 32, 8, "constant", id="constant_above_cutoff"),
-            pytest.param(24, 20, "time_varying", id="time_varying"),
+            pytest.param(
+                MODAL_MAX_NX + 32, 8, "constant", MODAL_MAX_NX, id="constant_above_cutoff"
+            ),
+            pytest.param(24, 20, "time_varying", MODAL_MAX_NX, id="time_varying"),
+            # scipy's dgttrf rejects one or two interior nodes, dgtsv one
+            pytest.param(2, 6, "time_varying", MODAL_MAX_NX, id="time_varying_one_node"),
+            pytest.param(2, 6, "constant", 1, id="constant_one_node_above_cutoff"),
+            pytest.param(3, 6, "time_varying", MODAL_MAX_NX, id="time_varying_two_nodes"),
+            pytest.param(3, 6, "constant", 2, id="constant_two_nodes_above_cutoff"),
         ],
     )
-    def test_bit_identical_to_per_row_banded_solve(self, nx, nt, c_kind):
+    def test_bit_identical_to_per_row_banded_solve(
+        self, monkeypatch, nx, nt, c_kind, modal_max
+    ):
+        monkeypatch.setattr(pde, "MODAL_MAX_NX", modal_max)
         op, pairs = _kernel_pairs(nx, nt, c_kind)
         assert not isinstance(_cached_kernel(op), _ModalFactors)  # the LAPACK kernel ran
+        assert (_cached_kernel(op) is None) == (c_kind == "time_varying")
         for got, want in pairs:
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("nx, nt", [(24, 20), (64, 64)])
+    @pytest.mark.parametrize("nx, nt", [(24, 20), (64, 64), (2, 6)])
     def test_modal_kernel_matches_per_row_banded_solve(self, nx, nt):
         op, pairs = _kernel_pairs(nx, nt, "constant")
         assert isinstance(_cached_kernel(op), _ModalFactors)
@@ -232,38 +245,45 @@ class TestStepKernel:
         res = solve_null_control(None, u0, PenaltySchedule(ns=(1.0, 10.0)), prob)
         assert sum(st.cg_iters for st in res.stages) > 0
         assert len(calls) == 1
-        # a new c row replaces the cached factors
-        c = np.full_like(prob.c, 0.3)
-        got = forward_solve_linear(c, None, None, u0, grid, prob.op)
+        # a new c replaces the cached factors
+        got = forward_solve_linear(0.3, None, None, u0, grid, prob.op)
         assert len(calls) == 2
-        assert np.array_equal(got, _reference_forward(c, None, None, u0, grid, prob.op))
+        assert np.array_equal(got, _reference_forward(0.3, None, None, u0, grid, prob.op))
+        # a table is factored once per row, even when its rows agree, and
+        # leaves the cached factors in place
+        table = np.full((grid.nt + 1, grid.nx + 1), 0.3)
+        assert np.array_equal(forward_solve_linear(table, None, None, u0, grid, prob.op), got)
+        assert len(calls) == 2 + grid.nt
+        assert prob.op.step_kernel[0] == (grid.dt, 0.3)
 
     def test_singular_step_matrix(self):
-        # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes
-        grid = build_grid(8, 4, 1.0)
-        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
-        zero = dataclasses.replace(
-            op, lower=0.0 * op.lower, diag=0.0 * op.diag, upper=0.0 * op.upper
-        )
-        shape = (grid.nt + 1, grid.nx + 1)
-        c = np.full(shape, -1.0 / grid.dt)
-        u0 = np.sin(np.pi * grid.x)
-        with pytest.raises(np.linalg.LinAlgError):
-            forward_solve_linear(c, None, None, u0, grid, zero)
-        c_varying = c + np.linspace(0.0, 1.0, grid.nt + 1)[:, None]
-        c_varying[-1] = -1.0 / grid.dt
-        with pytest.raises(np.linalg.LinAlgError):
-            adjoint_solve(np.ones(shape), c_varying, grid, zero)
-        pd = ProblemData(
-            a=power_coefficient(0.5),
-            ell=NonlocalFactor.constant(),
-            f=SemilinearTerm.linear(-1.0 / grid.dt),
-            omega=(0.3, 0.8),
-            T=1.0,
-            u0=u0,
-        )
-        with pytest.raises(np.linalg.LinAlgError):
-            forward_solve_nonlinear(pd, None, grid, zero)
+        # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes;
+        # nx = 2 checks the 1 x 1 steps
+        for nx in (8, 2):
+            grid = build_grid(nx, 4, 1.0)
+            op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+            zero = dataclasses.replace(
+                op, lower=0.0 * op.lower, diag=0.0 * op.diag, upper=0.0 * op.upper
+            )
+            shape = (grid.nt + 1, grid.nx + 1)
+            c = -1.0 / grid.dt
+            u0 = np.sin(np.pi * grid.x)
+            with pytest.raises(np.linalg.LinAlgError):
+                forward_solve_linear(c, None, None, u0, grid, zero)
+            c_varying = c + np.linspace(0.0, 1.0, grid.nt + 1)[:, None] + np.zeros(shape)
+            c_varying[-1] = c
+            with pytest.raises(np.linalg.LinAlgError):
+                adjoint_solve(np.ones(shape), c_varying, grid, zero)
+            pd = ProblemData(
+                a=power_coefficient(0.5),
+                ell=NonlocalFactor.constant(),
+                f=SemilinearTerm.linear(c),
+                omega=(0.3, 0.8),
+                T=1.0,
+                u0=u0,
+            )
+            with pytest.raises(np.linalg.LinAlgError):
+                forward_solve_nonlinear(pd, None, grid, zero)
 
     def test_non_finite_linear_result(self):
         grid = build_grid(8, 4, 1.0)
@@ -313,5 +333,4 @@ class TestAdjointDuality:
 
     def test_exact_duality_modal_kernel(self):
         grid = build_grid(64, 64, 1.0)
-        c = np.ones((grid.nt + 1, grid.nx + 1))
-        assert _duality_error(grid, c, np.random.default_rng(7)) <= 1e-13
+        assert _duality_error(grid, 1.0, np.random.default_rng(7)) <= 1e-13
