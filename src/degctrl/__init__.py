@@ -30,7 +30,6 @@ from .errors import (
 )
 from .grid import LogValue, SpaceTimeGrid, build_grid, integrate_space, integrate_spacetime_logweight
 from .hum import (
-    DEFAULT_CAP,
     LinearControlProblem,
     NullControlResult,
     PenaltySchedule,

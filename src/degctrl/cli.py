@@ -97,24 +97,22 @@ def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
     op = assemble_degenerate_operator(cfg.problem.a, cfg.grid)
     fields = _build_fields(cfg)
     return LinearControlProblem(
-        grid=cfg.grid,
-        op=op,
-        c=cfg.c,
-        omega=cfg.problem.omega,
-        fields=fields,
-        log_weight_cap=cfg.log_weight_cap,
+        grid=cfg.grid, op=op, c=cfg.c, omega=cfg.problem.omega, fields=fields
     )
 
 
 def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig) -> None:
-    """Rows t,x,u in write_csv's format, streamed one time level at a time."""
-    xs = [repr(v) + "," for v in cfg.grid.x.tolist()]
+    """Rows t,x,u in write_csv's format, streamed one time level at a time:
+    one "%s<x>,%r\\n" template per grid, filled by one % per level."""
+    xs = cfg.grid.x.tolist()
+    level = "".join([f"%s{x!r},%r\n" for x in xs])
+    args = [None] * (2 * len(xs))
     with open(os.path.join(out, name), "w", newline="\n") as fh:
         fh.write("t,x,u\n")
         for tj, row in zip(cfg.grid.t.tolist(), u):
-            head = repr(tj) + ","
-            vals = map(repr, row.tolist())
-            fh.write("".join([head + xi + v + "\n" for xi, v in zip(xs, vals)]))
+            args[::2] = [repr(tj) + ","] * len(xs)
+            args[1::2] = row.tolist()
+            fh.write(level % tuple(args))
 
 
 def cmd_solve_forward(cfg: ExperimentConfig, out: str, quiet: bool) -> int:

@@ -24,24 +24,30 @@ from .coeffs import (
 )
 from .errors import ConfigError, DegctrlError
 from .grid import SpaceTimeGrid, build_grid
-from .hum import DEFAULT_CAP, PenaltySchedule
+from .hum import PenaltySchedule
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
 _DEFAULTS = {
     "discretization": {"nx": 64, "nt": 64, "gamma": 2.0},
     "carleman": {"s": 1.0, "lambda": 2.0, "omega_prime_margin": 0.25, "M_fraction": 0.5},
-    "hum": {
-        "schedule": [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6],
-        "cg_tol": 1e-8,
-        "cg_maxit": 500,
-        "tol_terminal": 1e-2,
-        "log_weight_cap": DEFAULT_CAP,
-    },
+    "hum": {"schedule": [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6], "tol_terminal": 1e-2},
     "newton": {"tol": 1e-6, "maxit": 25},
     "verify": {"checks": ["hardy", "carleman_phi", "carleman_A", "energy"], "seed": 0, "ensemble": 20},
     "output": {"directory": None},
 }
+
+
+# keys of the weighted-CG synthesis that the exact penalized-HUM solve replaced
+_REMOVED_HUM_KEYS = ("log_weight_cap", "cg_tol", "cg_maxit")
+
+
+def _numbers(vals: list, path: str) -> list:
+    """The entries of a JSON list as floats.  Anything but a number (null,
+    a string, a boolean) is a config error naming path."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+        raise ConfigError(path, f"expected a list of numbers, got {vals!r}")
+    return [float(v) for v in vals]
 
 
 def _get(block: dict, key: str, path: str, expect=None, default=..., low=None, high=None):
@@ -50,11 +56,9 @@ def _get(block: dict, key: str, path: str, expect=None, default=..., low=None, h
             return default
         raise ConfigError(path, "missing required key")
     val = block[key]
-    if expect is not None and not isinstance(val, expect):
-        if expect == float and isinstance(val, int):
-            val = float(val)
-        else:
-            raise ConfigError(path, f"expected {expect}, got {type(val).__name__}")
+    # JSON true/false are Python bools, which are ints too: never a number here
+    if expect is not None and (isinstance(val, bool) or not isinstance(val, expect)):
+        raise ConfigError(path, f"expected {expect}, got {type(val).__name__}")
     if low is not None and val < low:
         raise ConfigError(path, f"must be >= {low}, got {val}")
     if high is not None and val > high:
@@ -97,7 +101,7 @@ def _build_f(block: dict) -> SemilinearTerm:
         return SemilinearTerm.logistic(coeff)
     if kind == "polynomial":
         coeffs = _get(block, "coeffs", "problem.f.coeffs", list, default=[1.0])
-        return SemilinearTerm.polynomial([float(c) for c in coeffs])
+        return SemilinearTerm.polynomial(_numbers(coeffs, "problem.f.coeffs"))
     raise ConfigError("problem.f.kind", f"unknown semilinear kind {kind!r}")
 
 
@@ -126,7 +130,6 @@ class ExperimentConfig:
     omega_prime_margin: float
     M_fraction: float
     schedule: PenaltySchedule
-    log_weight_cap: float
     newton_tol: float
     newton_maxit: int
     verify_checks: list
@@ -159,6 +162,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid = build_grid(nx, nt, T, gamma)
 
     omega = _get(pb, "omega", "problem.omega", list, default=[0.3, 0.8])
+    omega = _numbers(omega, "problem.omega")
     if len(omega) != 2:
         raise ConfigError("problem.omega", "expected [x_left, x_right]")
     a = _build_a(pb.get("a", {}))
@@ -173,9 +177,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("problem.f", str(exc)) from exc
     u0 = _build_u0(pb.get("u0", {}), grid)
     try:
-        problem = ProblemData(
-            a=a, ell=ell, f=f, omega=(float(omega[0]), float(omega[1])), T=T, u0=u0
-        )
+        problem = ProblemData(a=a, ell=ell, f=f, omega=tuple(omega), T=T, u0=u0)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from exc
 
@@ -192,19 +194,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("carleman.M_fraction", "must lie in (0, 1)")
 
     hum = merged["hum"]
-    sched_vals = _get(hum, "schedule", "hum.schedule", list)
+    for key in _REMOVED_HUM_KEYS:
+        if key in hum:
+            raise ConfigError(
+                f"hum.{key}", "no longer a setting: every penalty stage is solved exactly"
+            )
+    sched_vals = _numbers(_get(hum, "schedule", "hum.schedule", list), "hum.schedule")
     try:
         schedule = PenaltySchedule(
-            ns=tuple(float(v) for v in sched_vals),
-            cg_tol=float(_get(hum, "cg_tol", "hum.cg_tol", (int, float), low=0.0)),
-            cg_maxit=_get(hum, "cg_maxit", "hum.cg_maxit", int, low=1),
+            ns=tuple(sched_vals),
             tol_terminal=float(
                 _get(hum, "tol_terminal", "hum.tol_terminal", (int, float), low=0.0)
             ),
         )
     except ValueError as exc:
         raise ConfigError("hum.schedule", str(exc)) from exc
-    cap = float(_get(hum, "log_weight_cap", "hum.log_weight_cap", (int, float), low=1.0))
 
     nwt = merged["newton"]
     newton_tol = float(_get(nwt, "tol", "newton.tol", (int, float)))
@@ -229,7 +233,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         omega_prime_margin=margin,
         M_fraction=mfrac,
         schedule=schedule,
-        log_weight_cap=cap,
         newton_tol=newton_tol,
         newton_maxit=_get(nwt, "maxit", "newton.maxit", int, low=1),
         verify_checks=[str(x) for x in checks],

@@ -1,33 +1,38 @@
-"""Linear null control by penalized quadratic minimization.
+"""Linear null control by Boyer's penalized HUM, solved in closed form.
 
-J_n(u, h) = 1/2 (weighted L2 of u) + 1/2 (weighted L2 of h) is minimized
-over controls h supported in the window, with the state u slaved to h
-through the forward solver.  The exact weights span hundreds of millions in
-log scale, far beyond float64; the minimized functional therefore uses
-*effective* weights: the squared log-weights are globally shifted (which
-leaves the minimizer untouched) and capped at `log_weight_cap` (a documented
-modification of the functional).  The cap is not confined to a thin layer
-near t = T: at configs/default.json it is active on 63% of the interior W0
-nodes and on every W* node of the control window at n = 1, and on 99.5% and
-98% of them from n = 100 on.  In practice `log_weight_cap` is therefore the
-accuracy knob of the synthesis.  Reported weighted norms use the same
-effective weights with the shift added back, as mantissa/log-scale pairs.
+Penalty stage n minimizes J_n(h) = 1/2 int int_omega |h|^2 + (n/2) ||u(t_m)||^2
+over controls h in the window omega on the interior time rows, u slaved to h
+by the forward solver (Boyer, ESAIM Proc. 2013).  The penalty sits on row
+m = nt-1, the last controlled row, so ``build_stage``'s weights (W* = 1 on the
+interior rows, W0 = n/wt_m on row m) give J_n exactly through
+``_weighted_quad`` and ``grad_Jn``.
 
-The penalty continuation stops at the first stage whose terminal norm exceeds
-the best one so far; at configs/default.json it runs 4 of the 7 stages.
+Each stage is solved exactly through the modal Gramian.  With the step
+matrix's eigenbasis D^{1/2} M D^{-1/2} = Q diag(mu) Q^T (D the dual widths),
+beta = 1/(dt mu), P the window projector and K = B^T diag(dt^2/wt) B for
+B_jk = beta_k^{m-j+1}, stage n solves
+
+    (I/n + G) q = z,   G = (Q^T P Q) o K = V diag(g) V^T  (o: Hadamard),
+
+z = Q^T D^{1/2} u_free(t_m) being the uncontrolled row m (datum and source
+included), and h_j = -(dt/wt_j) P D^{-1/2} Q (beta^{m-j+1} o q).  G is built
+and diagonalized once per problem, on the eigenbasis the modal step kernel
+caches, and serves every stage and every Newton step.  ``minimize_Jn``, PCG
+on ``grad_Jn``, stays as the general library path and the cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import NonFiniteTrajectory, SourceWeightDivergence
 from .grid import LogValue, SpaceTimeGrid, l2_norm
-from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear
-from .weights import WeightFields, build_truncated_fields
+from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear, step_eigenbasis
+from .weights import WeightFields
 
 __all__ = [
     "PenaltySchedule",
@@ -42,14 +47,10 @@ __all__ = [
     "solve_null_control",
 ]
 
-DEFAULT_CAP = 40.0  # cap on the shifted log of the *squared* weights
-
 
 @dataclass
 class PenaltySchedule:
     ns: tuple = tuple(10.0**k for k in range(7))
-    cg_tol: float = 1e-8
-    cg_maxit: int = 500
     tol_terminal: float = 1e-2
 
     def __post_init__(self):
@@ -57,6 +58,19 @@ class PenaltySchedule:
             raise ValueError("penalty schedule must start at n >= 1")
         if any(b <= a for a, b in zip(self.ns, self.ns[1:])):
             raise ValueError("penalty schedule must be strictly increasing")
+        if not np.isfinite(self.ns).all():
+            raise ValueError("penalty schedule must be finite")
+
+
+@dataclass(frozen=True)
+class _Gramian:
+    """The stage-independent factors of the closed-form stage solve."""
+
+    to_eig: np.ndarray  # D^{1/2} Q V: an interior row u maps to V^T Q^T D^{1/2} u
+    vecs: np.ndarray  # V
+    g: np.ndarray  # eigenvalues of G, rounding below 0 clipped (G is PSD)
+    powers: np.ndarray  # -(dt/wt_j) beta^{m-j+1}, one row per interior time row
+    to_ctrl: np.ndarray  # Q^T P D^{-1/2}
 
 
 @dataclass
@@ -69,22 +83,20 @@ class LinearControlProblem:
     c: float
     omega: tuple
     fields: WeightFields
-    log_weight_cap: float = DEFAULT_CAP
+    # the modal Gramian, built by the first control solve; like the step
+    # kernel of DegenerateOperator, not copied by dataclasses.replace
+    gramian: Optional[_Gramian] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
 class StageWeights:
-    """Effective squared weights for one penalty stage.
-
-    W0/Wstar are exp of the shifted+capped squared log-weights; kappa2 is the
-    common shift, so `value * exp(kappa2)` restores the reported scale.
-    src_W0 = (wt/dt) W0 and to_ctrl = dt/wt on the interior rows, and
-    outside = ~mask, are the stage constants of every ``grad_Jn`` call.
+    """Squared weights of one penalty stage: W0 on the state, Wstar on the
+    control.  src_W0 = (wt/dt) W0 and to_ctrl = dt/wt on the interior rows,
+    and outside = ~mask, are the stage constants of every ``grad_Jn`` call.
     """
 
     W0: np.ndarray
     Wstar: np.ndarray
-    kappa2: float
     mask: np.ndarray
     src_W0: np.ndarray
     to_ctrl: np.ndarray
@@ -113,54 +125,50 @@ class NullControlResult:
     success: bool
 
 
+def _window(prob: LinearControlProblem) -> np.ndarray:
+    xl, xr = prob.omega
+    return (prob.grid.x >= xl) & (prob.grid.x <= xr)
+
+
 def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
-    wf = build_truncated_fields(prob.fields, n, prob.omega, prob.grid)
-    tr = wf.trunc
-    lw0 = 2.0 * tr.log_rho0_n
-    lws = 2.0 * tr.log_rhostar_n
-    mask = tr.omega_mask
-    interior = slice(1, prob.grid.nt)
-    kappa2 = min(float(np.min(lw0[interior])), float(np.min(lws[interior][:, mask])))
-    W0 = _effective_weights(lw0, kappa2, prob)
-    Wstar = _effective_weights(lws, kappa2, prob)
-    wt, dt = prob.grid.interior_time_weights[:, None], prob.grid.dt
-    return StageWeights(W0, Wstar, kappa2, mask, (wt / dt) * W0[interior], dt / wt, ~mask)
-
-
-def _effective_weights(
-    log_w2: np.ndarray, kappa2: float, prob: LinearControlProblem
-) -> np.ndarray:
-    """exp(min(log_w2 - kappa2, log_weight_cap)) on the interior time rows,
-    zero on rows 0 and nt: the shift-and-cap of every squared weight."""
-    interior = slice(1, prob.grid.nt)
-    W = np.zeros_like(log_w2)
-    W[interior] = np.exp(np.minimum(log_w2[interior] - kappa2, prob.log_weight_cap))
-    return W
+    """The weights of J_n: W* = 1 on the interior rows, W0 = n/wt_{nt-1} on
+    row nt-1 (so that _weighted_quad gives n ||u(t_{nt-1})||^2), zero on
+    the other rows."""
+    grid = prob.grid
+    shape = (grid.nt + 1, grid.nx + 1)
+    wt, dt = grid.interior_time_weights[:, None], grid.dt
+    W0 = np.zeros(shape)
+    W0[-2] = n / wt[-1]
+    Wstar = np.zeros(shape)
+    Wstar[1:-1] = 1.0
+    mask = _window(prob)
+    return StageWeights(W0, Wstar, mask, (wt / dt) * W0[1:-1], dt / wt, ~mask)
 
 
 def _weighted_quad(W: np.ndarray, v: np.ndarray, grid: SpaceTimeGrid) -> float:
     return _control_inner(W, v**2, grid)
 
 
-def _weighted_norm(
-    W: np.ndarray, kappa2: float, v: np.ndarray, grid: SpaceTimeGrid
-) -> LogValue:
-    """_weighted_quad on the reported scale, with the shift kappa2 added back."""
-    with np.errstate(over="ignore"):
-        return LogValue.from_float(_weighted_quad(W, v, grid)).shifted(kappa2)
+def _weighted_norm(W: np.ndarray, v: np.ndarray, grid: SpaceTimeGrid) -> LogValue:
+    """_weighted_quad as a LogValue.  Where the squares of a finite v overflow
+    float64, v is scaled by max|v| first, as in grid.l2_norm, so that a
+    finite quadrature keeps a finite log."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf where W = 0
+        quad = _weighted_quad(W, v, grid)
+    top = float(np.max(np.abs(v[1:-1])))
+    if not np.isfinite(quad) and np.isfinite(top):
+        return LogValue(_weighted_quad(W, v / top, grid), 2.0 * math.log(top))
+    return LogValue.from_float(quad)
 
 
 def eval_Jn(
     u: np.ndarray, h: np.ndarray, stage: StageWeights, grid: SpaceTimeGrid
 ) -> LogValue:
-    """Penalized functional value, as a mantissa/log-scale pair on the
-    reported (unshifted) scale."""
+    """Penalized functional value, as a mantissa/log-scale pair."""
     if not (np.isfinite(u[1:-1]).all() and np.isfinite(h[1:-1]).all()):
         raise ValueError("NaN/inf in trajectory passed to eval_Jn")
-    j_eff = 0.5 * _weighted_quad(stage.W0, u, grid) + 0.5 * _weighted_quad(
-        stage.Wstar, h, grid
-    )
-    return LogValue.from_float(j_eff).shifted(stage.kappa2)
+    total = _weighted_norm(stage.W0, u, grid) + _weighted_norm(stage.Wstar, h, grid)
+    return LogValue(0.5 * total.mantissa, total.log_scale)
 
 
 def _control_inner(a: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> float:
@@ -220,7 +228,7 @@ def minimize_Jn(
     both in the Wstar^-1 norm over the window, so a warm start that already
     meets it runs no iteration.  Returns (h, u, iters, converged), u being
     the state of the returned control.  Raises NonFiniteTrajectory when
-    (b, Wstar^-1 b) overflows float64.
+    (b, Wstar^-1 b) or a curvature p.Ap overflows float64.
     """
     grid = prob.grid
     zeros = np.zeros((grid.nt + 1, grid.nx + 1))
@@ -251,7 +259,10 @@ def minimize_Jn(
     iters = 0
     while rz > stop and iters < maxit:
         Ap = apply_A(p)
-        pAp = _control_inner(p, Ap, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pAp = _control_inner(p, Ap, grid)
+        if not np.isfinite(pAp):  # alpha = rz/inf = 0 would stall h and r for good
+            raise NonFiniteTrajectory("the CG curvature p.Ap overflows float64")
         if pAp <= 0.0:
             break
         alpha = rz / pAp
@@ -271,52 +282,72 @@ def terminal_l2(u: np.ndarray, grid: SpaceTimeGrid) -> float:
     return l2_norm(u[-1], grid)
 
 
+def _gramian(prob: LinearControlProblem) -> _Gramian:
+    """The modal Gramian of prob, built on first use and cached on prob."""
+    if prob.gramian is not None:
+        return prob.gramian
+    grid = prob.grid
+    basis = step_eigenbasis(prob.op, grid.dt, prob.c)
+    q, root, wt = basis.q, basis.root, grid.interior_time_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = basis.decay ** np.arange(grid.nt - 1, 0, -1)[:, None]
+        K = B.T @ ((grid.dt**2 / wt)[:, None] * B)
+    if not np.isfinite(K).all():  # a step that amplifies some mode by far more than 1
+        raise NonFiniteTrajectory("the modal Gramian overflows float64")
+    window = _window(prob)[1:-1]
+    g, vecs = np.linalg.eigh((q[window].T @ q[window]) * K)
+    prob.gramian = _Gramian(
+        to_eig=(root[:, None] * q) @ vecs,
+        vecs=vecs,
+        g=np.maximum(g, 0.0),
+        powers=-(grid.dt / wt)[:, None] * B,
+        to_ctrl=q.T * (window / root),
+    )
+    return prob.gramian
+
+
 def solve_null_control(
     g: Optional[np.ndarray],
     u0: np.ndarray,
     schedule: PenaltySchedule,
     prob: LinearControlProblem,
 ) -> NullControlResult:
-    """Continuation over the penalty schedule with warm-started controls.
+    """Continuation over the penalty schedule, each stage solved exactly.
 
-    Each stage is accepted when its terminal norm does not exceed the best
-    one so far.  The continuation stops after the first rejected stage,
-    whose row (with the CG iterations it ran) ends ``stages``; the returned
-    control is the last accepted one.
+    One uncontrolled solve gives the modal datum z of every stage; stage n
+    is then (I/n + G) q = z in the eigenbasis of G, one GEMM for h and one
+    forward solve for u (see the module docstring).  Each stage is accepted
+    when its terminal norm does not exceed the best one so far.  The
+    continuation stops after the first rejected stage, whose row ends
+    ``stages``; the returned control is the last accepted one.  Every row
+    has cg_iters = 0 and converged = True.
     """
     grid = prob.grid
     if g is not None:
         _check_source_weight(g, prob)
+    gram = _gramian(prob)
+    free = forward_solve_linear(prob.c, g, None, u0, grid, prob.op)
+    z = free[-2, 1:-1] @ gram.to_eig
     h = u = None
     best = np.inf
     stages: List[StageDiagnostics] = []
     for n in schedule.ns:
         stage = build_stage(prob, n)
-        h_new, u_new, iters, converged = minimize_Jn(
-            stage, g, u0, h, prob, tol=schedule.cg_tol, maxit=schedule.cg_maxit
-        )
+        h_new = np.zeros_like(free)
+        # a datum near the float64 limit can overflow here; the forward
+        # solve's finiteness check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            qn = gram.vecs @ (z / (1.0 / n + gram.g))
+            h_new[1:-1, 1:-1] = (gram.powers * qn) @ gram.to_ctrl
+        u_new = forward_solve_linear(prob.c, g, h_new, u0, grid, prob.op)
         raw = terminal_l2(u_new, grid)
-        # accept/reject safeguard: once the terminal norm bottoms out at the
-        # CG-tolerance floor, later stages can jitter upward; keep the best
-        # control and stop at the first stage whose norm exceeds it
         accepted = raw <= best or h is None
         if accepted:
             h, u, best = h_new, u_new, raw
-        jn = eval_Jn(u, h, stage, grid)
-        cw = _weighted_norm(stage.Wstar, stage.kappa2, h, grid)
-        sw = _weighted_norm(stage.W0, stage.kappa2, u, grid)
+        cw, sw = _weighted_norm(stage.Wstar, h, grid), _weighted_norm(stage.W0, u, grid)
         stages.append(
-            StageDiagnostics(
-                n=float(n),
-                cg_iters=iters,
-                converged=converged,
-                Jn=jn,
-                terminal_norm=best,
-                ctrl_weighted_norm=cw,
-                state_weighted_norm=sw,
-                raw_terminal_norm=raw,
-                accepted=accepted,
-            )
+            StageDiagnostics(float(n), 0, True, eval_Jn(u, h, stage, grid), best, cw, sw,
+                             raw_terminal_norm=raw, accepted=accepted)
         )
         if not accepted:
             break

@@ -21,7 +21,6 @@ from .grid import LogValue, integrate_space
 from .hum import (
     LinearControlProblem,
     PenaltySchedule,
-    _effective_weights,
     _weighted_norm,
     solve_null_control,
     terminal_l2,
@@ -75,11 +74,9 @@ def local_null_control(
     below while the iteration converges.
     """
     grid = prob.grid
-    # residual sources are measured with the squared rho0 weights under the
-    # shift-and-cap of the control functional (the exact weights overflow)
-    lw = 2.0 * prob.fields.log_rho0
-    kappa2 = float(np.min(lw[1 : grid.nt]))
-    W = _effective_weights(lw, kappa2, prob)
+    # residual sources are measured in plain space-time L2 over the interior rows
+    W = np.zeros((grid.nt + 1, grid.nx + 1))
+    W[1:-1] = 1.0
 
     history: List[NewtonState] = []
     u = np.zeros((grid.nt + 1, grid.nx + 1))
@@ -90,10 +87,10 @@ def local_null_control(
 
     for k in range(maxit):
         g = residual_source(u, pd, prob)
-        res_norm = _weighted_norm(W, kappa2, g, grid)
+        res_norm = _weighted_norm(W, g, grid)
         step_norm = None
         if g_prev is not None:
-            step_norm = _weighted_norm(W, kappa2, g - g_prev, grid)
+            step_norm = _weighted_norm(W, g - g_prev, grid)
             grow = grow + 1 if prev_step is not None and prev_step < step_norm else 0
             if grow >= 3:
                 raise NewtonDivergence(

@@ -16,9 +16,8 @@ whole control solve builds it once:
   one eigh_tridiagonal diagonalizes every step.  A solve is then one GEMM
   into modal coordinates, a per-mode doubling scan of the recurrence
   w_j = w_{j-1}/(dt mu) + ..., and one GEMM back.  Results agree with the
-  LAPACK kernel to about 1e-13 relative (not bit for bit).  The control CG
-  amplifies that: on 17 control inputs at the default grid a penalty
-  stage's CG count differed by up to 9 between the two kernels.
+  LAPACK kernel to about 1e-13 relative (not bit for bit).  Its eigenbasis
+  also carries the control Gramian of hum (``step_eigenbasis``).
 - LAPACK above: dgttrs per step, with the step matrix factored once by
   dgttrf.
 
@@ -171,6 +170,8 @@ class _ModalFactors:
     to_modal: np.ndarray  # D^{1/2} Q diag(1/mu)
     decay: np.ndarray  # 1/(dt mu), the per-mode step multiplier
     to_nodal: np.ndarray  # Q^T D^{-1/2}
+    q: np.ndarray  # Q
+    root: np.ndarray  # D^{1/2}, as the diagonal
 
 
 def _modal_factors(op: DegenerateOperator, dt: float, bands) -> _ModalFactors:
@@ -180,8 +181,22 @@ def _modal_factors(op: DegenerateOperator, dt: float, bands) -> _ModalFactors:
     if (mu == 0.0).any():
         raise np.linalg.LinAlgError("singular step matrix (zero eigenvalue)")
     return _ModalFactors(
-        to_modal=root[:, None] * q / mu, decay=1.0 / (dt * mu), to_nodal=q.T / root
+        to_modal=root[:, None] * q / mu,
+        decay=1.0 / (dt * mu),
+        to_nodal=q.T / root,
+        q=q,
+        root=root,
     )
+
+
+def step_eigenbasis(op: DegenerateOperator, dt: float, c: float) -> _ModalFactors:
+    """The eigenbasis of the step matrix of a number c: the cached modal
+    kernel for nx <= MODAL_MAX_NX, a fresh eigh_tridiagonal above (which
+    leaves the cached LAPACK kernel in place)."""
+    kernel = _step_kernel(op, dt, c)
+    if isinstance(kernel, _ModalFactors):
+        return kernel
+    return _modal_factors(op, dt, _step_bands(op, dt, 1.0, c))
 
 
 def _step_kernel(op: DegenerateOperator, dt: float, c):
@@ -212,13 +227,12 @@ def _modal_march(m: _ModalFactors, b: np.ndarray) -> np.ndarray:
     that ceil(log2 k) doubling passes evaluate for all rows at once.
     Overflow and NaN are left to the caller's finiteness check.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = b @ m.to_modal
-        step, power = 1, m.decay
-        while step < len(w):
-            w[step:] += power * w[:-step]
-            step, power = 2 * step, power * power
-        return w @ m.to_nodal
+    w = b @ m.to_modal
+    step, power = 1, m.decay
+    while step < len(w):
+        w[step:] += power * w[:-step]
+        step, power = 2 * step, power * power
+    return w @ m.to_nodal
 
 
 def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
@@ -232,21 +246,23 @@ def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
     out = traj[rows, 1:-1]
     srcs = [s[rows, 1:-1] for s in sources if s is not None]
     kernel = _step_kernel(op, dt, c)
-    if isinstance(kernel, _ModalFactors):
-        b = np.zeros(out.shape)
-        b[0] = start / dt
-        for s in srcs:
-            b += s
-        out[...] = _modal_march(kernel, b)
-    else:
-        c_rows = None if kernel else c[rows, 1:-1]
-        x = start
-        for k in range(grid.nt):
-            solve = kernel or _factor(_step_bands(op, dt, 1.0, c_rows[k]))
-            rhs = x / dt
+    # values beyond float64 are left to the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(kernel, _ModalFactors):
+            b = np.zeros(out.shape)
+            b[0] = start / dt
             for s in srcs:
-                rhs += s[k]
-            x = out[k] = solve(rhs)
+                b += s
+            out[...] = _modal_march(kernel, b)
+        else:
+            c_rows = None if kernel else c[rows, 1:-1]
+            x = start
+            for k in range(grid.nt):
+                solve = kernel or _factor(_step_bands(op, dt, 1.0, c_rows[k]))
+                rhs = x / dt
+                for s in srcs:
+                    rhs += s[k]
+                x = out[k] = solve(rhs)
     if not np.isfinite(traj).all():
         raise NonFiniteTrajectory("non-finite values in the solved trajectory")
     return traj

@@ -22,15 +22,13 @@ def make_fields(a, grid, s=1.0, lam=2.0, omega=OMEGA):
     return build_weight_fields(params, a, grid)
 
 
-def make_control_problem(nx=64, nt=64, s=1.0, lam=2.0, cap=40.0):
+def make_control_problem(nx=64, nt=64, s=1.0, lam=2.0):
     """Default linear benchmark: a = sqrt(x), c = 1, omega = (0.3, 0.8)."""
     grid = build_grid(nx, nt, 1.0)
     a = power_coefficient(0.5)
     op = assemble_degenerate_operator(a, grid)
     fields = make_fields(a, grid, s=s, lam=lam)
-    return LinearControlProblem(
-        grid=grid, op=op, c=1.0, omega=OMEGA, fields=fields, log_weight_cap=cap
-    )
+    return LinearControlProblem(grid=grid, op=op, c=1.0, omega=OMEGA, fields=fields)
 
 
 def make_nonlinear_problem(grid, amplitude=0.1):

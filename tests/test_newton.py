@@ -9,9 +9,10 @@ from degctrl import (
     local_null_control,
     random_profile,
     residual_source,
+    terminal_l2,
 )
 from degctrl.hum import PenaltySchedule
-from tests.conftest import make_nonlinear_problem
+from tests.conftest import make_control_problem, make_nonlinear_problem
 
 
 class TestResidualSource:
@@ -69,8 +70,6 @@ class TestOuterIteration:
         free = forward_solve_nonlinear(
             pd, np.zeros((grid.nt + 1, grid.nx + 1)), grid, bench32.op
         )
-        from degctrl import terminal_l2
-
         assert history[-1].terminal_norm_nonlinear is not None
         assert history[-1].terminal_norm_nonlinear <= 1e-2 * terminal_l2(free, grid)
 
@@ -100,3 +99,17 @@ class TestOuterIteration:
         assert residual[-1] > residual[0]
         u0_norm = np.sqrt(integrate_space(u0**2, grid))
         assert history[-1].terminal_norm_nonlinear <= 1e-3 * u0_norm
+
+
+def test_converges_on_a_fine_grid():
+    # with the capped Carleman-weighted stage the right inverse grew with the
+    # grid: this datum ran 25 steps at 128^2 without converging (replay/free 20.6)
+    prob = make_control_problem(128, 128)
+    grid = prob.grid
+    pd = make_nonlinear_problem(grid, amplitude=0.1)
+    h, u_nl, history, converged = local_null_control(pd, prob, PenaltySchedule())
+    assert converged and len(history) <= 8
+    free = forward_solve_nonlinear(pd, np.zeros((grid.nt + 1, grid.nx + 1)), grid, prob.op)
+    assert history[-1].terminal_norm_nonlinear <= 1e-2 * terminal_l2(free, grid)
+    with pytest.raises(NewtonDivergence):
+        local_null_control(make_nonlinear_problem(grid, amplitude=50.0), prob, PenaltySchedule())

@@ -243,7 +243,7 @@ class TestStepKernel:
         grid = prob.grid
         u0 = np.sin(np.pi * grid.x)
         res = solve_null_control(None, u0, PenaltySchedule(ns=(1.0, 10.0)), prob)
-        assert sum(st.cg_iters for st in res.stages) > 0
+        assert len(res.stages) == 2  # three forward solves
         assert len(calls) == 1
         # a new c replaces the cached factors
         got = forward_solve_linear(0.3, None, None, u0, grid, prob.op)
