@@ -24,7 +24,6 @@ from .errors import (
     NonMonotone,
     NotVanishing,
     PicardDivergence,
-    SourceWeightDivergence,
     WeakDegeneracyViolated,
     ZeroDenominator,
 )

@@ -30,7 +30,6 @@ from .errors import (
     NewtonDivergence,
     NonFiniteTrajectory,
     PicardDivergence,
-    SourceWeightDivergence,
     ZeroDenominator,
 )
 from .grid import l2_norm
@@ -363,9 +362,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        PicardDivergence, NewtonDivergence, SourceWeightDivergence, NonFiniteTrajectory
-    ) as exc:
+    except (PicardDivergence, NewtonDivergence, NonFiniteTrajectory) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (AdmissibilityFail, ZeroDenominator) as exc:

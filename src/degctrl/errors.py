@@ -38,10 +38,6 @@ class NonFiniteTrajectory(DegctrlError, ValueError):
     """A linear solve produced NaN or inf (data or controls beyond float64)."""
 
 
-class SourceWeightDivergence(DegctrlError):
-    """Weighted norm of the source term is not a finite number."""
-
-
 class ZeroDenominator(DegctrlError):
     """Inequality ratio requested with identically zero denominator."""
 

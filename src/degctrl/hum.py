@@ -29,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NonFiniteTrajectory, SourceWeightDivergence
+from .errors import NonFiniteTrajectory
 from .grid import LogValue, SpaceTimeGrid, l2_norm
 from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear, step_eigenbasis
 from .weights import WeightFields
@@ -323,8 +323,6 @@ def solve_null_control(
     has cg_iters = 0 and converged = True.
     """
     grid = prob.grid
-    if g is not None:
-        _check_source_weight(g, prob)
     gram = _gramian(prob)
     free = forward_solve_linear(prob.c, g, None, u0, grid, prob.op)
     z = free[-2, 1:-1] @ gram.to_eig
@@ -355,17 +353,3 @@ def solve_null_control(
     success = tnorm <= schedule.tol_terminal * max(l2_norm(u0, grid), 1e-300)
     return NullControlResult(h=h, u=u, stages=stages, terminal_norm=tnorm, success=success)
 
-
-def _check_source_weight(g: np.ndarray, prob: LinearControlProblem) -> None:
-    """The source must have finite rho0-weighted energy (log-safe check on
-    the exact, untruncated weights)."""
-    lw = 2.0 * prob.fields.log_rho0
-    interior = slice(1, prob.grid.nt)
-    active = np.abs(g[interior]) > 0
-    if not active.any():
-        return
-    top = float(np.max(lw[interior][active] + 2.0 * np.log(np.abs(g[interior][active]))))
-    if not np.isfinite(top):
-        raise SourceWeightDivergence(
-            "source term has divergent rho0-weighted energy near t = T"
-        )

@@ -24,14 +24,19 @@ whole control solve builds it once:
 A table is factored once per time row.  The forward and the adjoint solve
 are one implicit-Euler march, run forward or backward in time.
 
-The Picard stepper of the nonlinear solve calls dgtsv, since its matrix
-changes with every inner iterate.  scipy's LAPACK wrappers reject small
-systems, dgttrf one or two interior nodes (nx <= 3) and dgtsv one (nx = 2):
-such steps go through dgtsv, and a 1 x 1 step is a division.
+The Picard stepper of the nonlinear solve lags ell(int u), Newton-linearizes
+f and iterates in place in the trajectory row: per iterate, one vecdot for
+int u (the bits of integrate_space), one call each of ell, f and df/du, and
+one dgtsv, since the bands change with every iterate.  One max|x| is both
+the finiteness test and the scale of the increment.  scipy's LAPACK
+wrappers reject small systems, dgttrf one or two interior nodes (nx <= 3)
+and dgtsv one (nx = 2): such steps go through dgtsv, and a 1 x 1 step is a
+division.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -334,35 +339,32 @@ def forward_solve_nonlinear(
     the current inner iterate; the inner loop runs until the relative
     increment drops below tol.
     """
-    nt, nx, dt = grid.nt, grid.nx, grid.dt
-    x = grid.x
-    u = np.zeros((nt + 1, nx + 1))
+    nt, dt = grid.nt, grid.dt
+    x, widths = grid.x[1:-1], grid.dual_widths
+    f, df, ell = pd.f.f, pd.f.df_du, pd.ell.ell
+    u = np.zeros((nt + 1, grid.nx + 1))
     u[0, 1:-1] = pd.u0[1:-1]
-    f, df = pd.f.f, pd.f.df_du
-    ell = pd.ell.ell
-
     for j in range(1, nt + 1):
         tj = grid.t[j]
-        uk = u[j - 1].copy()
-        base = u[j - 1, 1:-1] / dt
-        if h is not None:
-            base = base + h[j, 1:-1]
+        # row j is the inner iterate, started from row j-1; its Dirichlet
+        # nodes stay 0, so its vecdot with the widths is integrate_space
+        row = u[j]
+        uk = row[1:-1]
+        uk[...] = u[j - 1, 1:-1]
+        base = uk / dt if h is None else uk / dt + h[j, 1:-1]
         for it in range(maxit):
-            r = integrate_space(uk, grid)
-            lk = float(ell(r))
-            fk = np.asarray(f(tj, x[1:-1], uk[1:-1]), dtype=float)
-            dfk = np.asarray(df(tj, x[1:-1], uk[1:-1]), dtype=float)
-            rhs = base - fk + dfk * uk[1:-1]
-            x_new = _solve_bands(_step_bands(op, dt, lk, dfk), rhs)
-            if not np.isfinite(x_new).all():
+            lk = float(ell(float(np.vecdot(row, widths))))
+            fk = np.asarray(f(tj, x, uk), dtype=float)
+            dfk = np.asarray(df(tj, x, uk), dtype=float)
+            x_new = _solve_bands(_step_bands(op, dt, lk, dfk), base - fk + dfk * uk)
+            # max|x_new| is NaN or inf iff some entry is
+            scale = float(np.abs(x_new).max())
+            if not math.isfinite(scale):
                 raise PicardDivergence(
                     f"non-finite inner iterate at t={tj:.4g} (iteration {it})"
                 )
-            unew = np.zeros_like(uk)
-            unew[1:-1] = x_new
-            scale = max(float(np.max(np.abs(unew))), 1e-300)
-            inc = float(np.max(np.abs(unew - uk))) / scale
-            uk = unew
+            inc = float(np.abs(x_new - uk).max()) / max(scale, 1e-300)
+            uk[...] = x_new
             if inc <= tol:
                 break
         else:
@@ -370,7 +372,6 @@ def forward_solve_nonlinear(
                 f"inner loop at t={tj:.4g} did not reach tol={tol} "
                 f"within {maxit} iterations (last increment {inc:.3g})"
             )
-        u[j] = uk
     return u
 
 

@@ -133,6 +133,15 @@ class TestExitCodes:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "carleman.lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["carleman_phi", "carleman_A"])
+    @pytest.mark.parametrize("lam", [100.0, 500.0])
+    def test_log_headroom_is_config_error(self, tmp_path, capsys, lam, check):
+        # the weights stay finite, but float64 no longer resolves their logs
+        # to within 1, so lhs_log and rhs_log would come out equal
+        cfg = write_cfg(tmp_path, {"carleman.lambda": lam, "verify.checks": [check]})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "carleman.lambda" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["null-control", "null-control-nonlinear"])
     def test_window_without_nodes_is_config_error(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, {"discretization.nx": 2})  # nodes 0, 0.25, 1

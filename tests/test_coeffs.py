@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -66,19 +68,45 @@ class TestNonlocalAndSemilinear:
             np.testing.assert_array_equal(f.f(0.3, x, np.zeros_like(x)), 0.0)
 
     def test_polynomial_matches_all_terms_bit_for_bit(self):
-        # skipping zero coefficients must not change a bit, signed zeros
-        # and overflowed powers included
+        # the powers are running products u*u*...*u; skipping zero
+        # coefficients must not change a bit, signed zeros and overflowed
+        # powers included
         u = np.array([-0.0, 0.0, -2.5, -1e-3, 0.7, 3.0, 1e100, -1e100])
         for cs in ([1.0, 0.0, 1.0], [0.0, -2.0, 0.0, 0.5], [3.0]):
             term = SemilinearTerm.polynomial(cs)
             want_f, want_df = np.zeros_like(u), np.zeros_like(u)
+            power = np.ones_like(u)  # u**k
             with np.errstate(over="ignore"):
                 for k, c in enumerate(cs):
-                    want_f += c * u ** (k + 1)
-                    want_df += c * (k + 1) * u**k
+                    want_df += c * (k + 1) * power
+                    power = power * u
+                    want_f += c * power
                 got_f, got_df = term.f(0.0, None, u), term.df_du(0.0, None, u)
             assert got_f.tobytes() == want_f.tobytes()
             assert got_df.tobytes() == want_df.tobytes()
+
+    @pytest.mark.parametrize(
+        "cs", [[1.0, 0.0, 1.0], [0.0, -2.0, 0.0, 0.5], [3.0], [0.5, -1.0, 0.25, 0.0, 0.1]]
+    )
+    def test_polynomial_within_ulps_of_its_sum(self, cs):
+        # the running products round differently from pow, by a few ulp of
+        # sum |c_k u^(k+1)| at most: 4 per degree allowed, against exact sums
+        u = np.random.default_rng(11).uniform(-10.0, 10.0, 1000)
+        got = SemilinearTerm.polynomial(cs).f(0.0, None, u)
+        for ui, fi in zip(u.tolist(), got.tolist()):
+            exact = sum(Fraction(c) * Fraction(ui) ** (k + 1) for k, c in enumerate(cs))
+            scale = sum(abs(c) * abs(ui) ** (k + 1) for k, c in enumerate(cs))
+            assert abs(Fraction(fi) - exact) <= 4 * len(cs) * np.spacing(scale), ui
+
+    def test_cubic_derivative_unchanged(self):
+        # df/du of the default cubic, 1 + 3 u^2, is exact in its square: the
+        # same bits as through u**0 and u**2
+        u = np.random.default_rng(12).uniform(-10.0, 10.0, 1000)
+        want = np.zeros_like(u)
+        want += 1.0 * 1 * u**0
+        want += 1.0 * 3 * u**2
+        got = SemilinearTerm.polynomial([1.0, 0.0, 1.0]).df_du(0.0, None, u)
+        assert got.tobytes() == want.tobytes()
 
     def test_linearized_potential_cubic_plus_linear(self):
         # f = u^3 + u has df/du(0) = 1 everywhere
