@@ -94,10 +94,7 @@ def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
     if not ((cfg.grid.x >= xl) & (cfg.grid.x <= xr)).any():
         raise ConfigError("problem.omega", f"holds no node of the grid at nx = {cfg.grid.nx}")
     op = assemble_degenerate_operator(cfg.problem.a, cfg.grid)
-    fields = _build_fields(cfg)
-    return LinearControlProblem(
-        grid=cfg.grid, op=op, c=cfg.c, omega=cfg.problem.omega, fields=fields
-    )
+    return LinearControlProblem(grid=cfg.grid, op=op, c=cfg.c, omega=cfg.problem.omega)
 
 
 def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig) -> None:

@@ -76,13 +76,15 @@ class _Gramian:
 @dataclass
 class LinearControlProblem:
     """Frozen context for the linear control solves: grid, discrete operator,
-    potential c (a number), control window and weight tabulations."""
+    potential c (a number) and control window.  ``fields`` may carry the
+    Carleman weight tabulations for callers that want them; no solve reads
+    them."""
 
     grid: SpaceTimeGrid
     op: DegenerateOperator
     c: float
     omega: tuple
-    fields: WeightFields
+    fields: Optional[WeightFields] = None
     # the modal Gramian, built by the first control solve; like the step
     # kernel of DegenerateOperator, not copied by dataclasses.replace
     gramian: Optional[_Gramian] = field(default=None, init=False, repr=False, compare=False)

@@ -136,11 +136,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("check", ["carleman_phi", "carleman_A"])
     @pytest.mark.parametrize("lam", [100.0, 500.0])
     def test_log_headroom_is_config_error(self, tmp_path, capsys, lam, check):
-        # the weights stay finite, but float64 no longer resolves their logs
-        # to within 1, so lhs_log and rhs_log would come out equal
+        # the weights stay finite, but lhs_log and rhs_log (about -2.5e41 at
+        # lambda 100) are known only to |log| eps, so they would come out equal
         cfg = write_cfg(tmp_path, {"carleman.lambda": lam, "verify.checks": [check]})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "carleman.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["carleman_phi", "carleman_A"])
+    def test_fine_time_grid_keeps_log_headroom(self, tmp_path, check):
+        # near t = 0 and T the exponents grow like nt^4, but those rows add
+        # nothing to the integrals, whose logs stay above -1.7e3
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 1024,
+                                   "verify.ensemble": 1, "verify.checks": [check]})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
     @pytest.mark.parametrize("command", ["null-control", "null-control-nonlinear"])
     def test_window_without_nodes_is_config_error(self, tmp_path, capsys, command):
