@@ -27,14 +27,20 @@ from .errors import (
     WeakDegeneracyViolated,
     ZeroDenominator,
 )
-from .grid import LogValue, SpaceTimeGrid, build_grid, integrate_space, integrate_spacetime_logweight
+from .grid import (
+    LogValue,
+    SpaceTimeGrid,
+    build_grid,
+    duality_pairing,
+    integrate_space,
+    integrate_spacetime_logweight,
+)
 from .hum import (
     LinearControlProblem,
     NullControlResult,
     PenaltySchedule,
     StageDiagnostics,
     build_stage,
-    eval_Jn,
     grad_Jn,
     minimize_Jn,
     solve_null_control,
@@ -46,7 +52,6 @@ from .pde import (
     adjoint_solve,
     apply_operator,
     assemble_degenerate_operator,
-    duality_pairing,
     forward_solve_linear,
     forward_solve_nonlinear,
     h1a_norm_sq,

@@ -32,7 +32,7 @@ from .errors import (
     PicardDivergence,
     ZeroDenominator,
 )
-from .grid import l2_norm
+from .grid import l2_norm, window_mask
 from .hum import LinearControlProblem, solve_null_control
 from .newton import local_null_control
 from .pde import assemble_degenerate_operator, forward_solve_nonlinear
@@ -90,8 +90,7 @@ def _build_fields(cfg: ExperimentConfig):
 
 
 def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
-    xl, xr = cfg.problem.omega
-    if not ((cfg.grid.x >= xl) & (cfg.grid.x <= xr)).any():
+    if not window_mask(cfg.grid, cfg.problem.omega).any():
         raise ConfigError("problem.omega", f"holds no node of the grid at nx = {cfg.grid.nx}")
     op = assemble_degenerate_operator(cfg.problem.a, cfg.grid)
     return LinearControlProblem(grid=cfg.grid, op=op, c=cfg.c, omega=cfg.problem.omega)

@@ -21,7 +21,11 @@ __all__ = [
     "LogValue",
     "SpaceTimeGrid",
     "build_grid",
+    "window_mask",
     "integrate_space",
+    "integrate_interior",
+    "norm_sq",
+    "duality_pairing",
     "integrate_spacetime_logweight",
 ]
 
@@ -161,6 +165,11 @@ def build_grid(nx: int, nt: int, T: float, gamma: float = 2.0) -> SpaceTimeGrid:
     return SpaceTimeGrid(nx=nx, nt=nt, x=x, t=t, gamma=float(gamma))
 
 
+def window_mask(grid: SpaceTimeGrid, omega) -> np.ndarray:
+    """The nodes of the control window omega = (xl, xr), both ends included."""
+    return (grid.x >= omega[0]) & (grid.x <= omega[1])
+
+
 def integrate_space(values: np.ndarray, grid: SpaceTimeGrid):
     """Trapezoid rule on the nonuniform mesh along the last axis; exact for
     affine integrands.  One row gives a float, a (k, nx+1) block of rows
@@ -183,6 +192,33 @@ def l2_norm(row: np.ndarray, grid: SpaceTimeGrid) -> float:
     if sq == np.inf and np.isfinite(top):
         return top * l2_norm(row / top, grid)
     return float(np.sqrt(sq))
+
+
+def integrate_interior(rows: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """The interior space-time quadrature sum_j wt_j sum_i d_i rows_ji of an
+    (nt-1, nx+1) block holding the time rows 1..nt-1, with wt the
+    ``interior_time_weights`` and d the ``dual_widths``."""
+    return float(np.einsum("j,ji,i->", grid.interior_time_weights, rows, grid.dual_widths))
+
+
+def norm_sq(v: np.ndarray, grid: SpaceTimeGrid, integrate=integrate_interior) -> LogValue:
+    """integrate(v**2) as a LogValue: over a block of interior rows, or over
+    one row with ``integrate_space``.  Where the squares of a finite v
+    overflow float64, v is scaled by max|v| first, as in l2_norm, so that the
+    log stays finite."""
+    with np.errstate(over="ignore"):
+        quad = integrate(v**2, grid)
+    top = float(np.max(np.abs(v)))
+    if not math.isfinite(quad) and math.isfinite(top):
+        return LogValue(integrate((v / top) ** 2, grid), 2.0 * math.log(top))
+    return LogValue.from_float(quad)
+
+
+def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid):
+    """dt * sum_{j=1..nt} (a_j, b_j)_D over rows 1..nt, the pairing under
+    which pde's backward solve is the exact transpose of the forward one."""
+    rows = np.einsum("ji,i,ji->j", a_traj[1:], grid.dual_widths, b_traj[1:])
+    return grid.dt * float(np.sum(rows))
 
 
 def integrate_spacetime_logweight(
@@ -215,7 +251,4 @@ def integrate_spacetime_logweight(
     m = float(np.max(total))
     if m == -math.inf:
         return LogValue.zero()
-    wt = grid.interior_time_weights
-    d = grid.dual_widths
-    s = float(np.einsum("j,i,ji->", wt, d, np.exp(total - m)))
-    return LogValue(s, m)
+    return LogValue(integrate_interior(np.exp(total - m), grid), m)

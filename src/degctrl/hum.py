@@ -5,7 +5,9 @@ over controls h in the window omega on the interior time rows, u slaved to h
 by the forward solver (Boyer, ESAIM Proc. 2013).  The penalty sits on row
 m = nt-1, the last controlled row, so ``build_stage``'s weights (W* = 1 on the
 interior rows, W0 = n/wt_m on row m) give J_n exactly through
-``_weighted_quad`` and ``grad_Jn``.
+``grid.integrate_interior`` and ``grad_Jn``; ``solve_null_control`` reads
+the two terms directly, ||h||^2 by that quadrature and n ||u(t_m)||^2 from
+row m.
 
 Each stage is solved exactly through the modal Gramian.  With the step
 matrix's eigenbasis D^{1/2} M D^{-1/2} = Q diag(mu) Q^T (D the dual widths),
@@ -23,16 +25,15 @@ on ``grad_Jn``, stays as the general library path and the cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import NonFiniteTrajectory
-from .grid import LogValue, SpaceTimeGrid, l2_norm
+from .grid import (LogValue, SpaceTimeGrid, integrate_interior, integrate_space, l2_norm,
+                   norm_sq, window_mask)
 from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear, step_eigenbasis
-from .weights import WeightFields
 
 __all__ = [
     "PenaltySchedule",
@@ -41,7 +42,6 @@ __all__ = [
     "StageDiagnostics",
     "NullControlResult",
     "build_stage",
-    "eval_Jn",
     "grad_Jn",
     "minimize_Jn",
     "solve_null_control",
@@ -76,15 +76,12 @@ class _Gramian:
 @dataclass
 class LinearControlProblem:
     """Frozen context for the linear control solves: grid, discrete operator,
-    potential c (a number) and control window.  ``fields`` may carry the
-    Carleman weight tabulations for callers that want them; no solve reads
-    them."""
+    potential c (a number) and control window."""
 
     grid: SpaceTimeGrid
     op: DegenerateOperator
     c: float
     omega: tuple
-    fields: Optional[WeightFields] = None
     # the modal Gramian, built by the first control solve; like the step
     # kernel of DegenerateOperator, not copied by dataclasses.replace
     gramian: Optional[_Gramian] = field(default=None, init=False, repr=False, compare=False)
@@ -127,15 +124,10 @@ class NullControlResult:
     success: bool
 
 
-def _window(prob: LinearControlProblem) -> np.ndarray:
-    xl, xr = prob.omega
-    return (prob.grid.x >= xl) & (prob.grid.x <= xr)
-
-
 def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
     """The weights of J_n: W* = 1 on the interior rows, W0 = n/wt_{nt-1} on
-    row nt-1 (so that _weighted_quad gives n ||u(t_{nt-1})||^2), zero on
-    the other rows."""
+    row nt-1 (so that ``integrate_interior`` of W0 u^2 gives
+    n ||u(t_{nt-1})||^2), zero on the other rows."""
     grid = prob.grid
     shape = (grid.nt + 1, grid.nx + 1)
     wt, dt = grid.interior_time_weights[:, None], grid.dt
@@ -143,40 +135,8 @@ def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
     W0[-2] = n / wt[-1]
     Wstar = np.zeros(shape)
     Wstar[1:-1] = 1.0
-    mask = _window(prob)
+    mask = window_mask(grid, prob.omega)
     return StageWeights(W0, Wstar, mask, (wt / dt) * W0[1:-1], dt / wt, ~mask)
-
-
-def _weighted_quad(W: np.ndarray, v: np.ndarray, grid: SpaceTimeGrid) -> float:
-    return _control_inner(W, v**2, grid)
-
-
-def _weighted_norm(W: np.ndarray, v: np.ndarray, grid: SpaceTimeGrid) -> LogValue:
-    """_weighted_quad as a LogValue.  Where the squares of a finite v overflow
-    float64, v is scaled by max|v| first, as in grid.l2_norm, so that a
-    finite quadrature keeps a finite log."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf where W = 0
-        quad = _weighted_quad(W, v, grid)
-    top = float(np.max(np.abs(v[1:-1])))
-    if not np.isfinite(quad) and np.isfinite(top):
-        return LogValue(_weighted_quad(W, v / top, grid), 2.0 * math.log(top))
-    return LogValue.from_float(quad)
-
-
-def eval_Jn(
-    u: np.ndarray, h: np.ndarray, stage: StageWeights, grid: SpaceTimeGrid
-) -> LogValue:
-    """Penalized functional value, as a mantissa/log-scale pair."""
-    if not (np.isfinite(u[1:-1]).all() and np.isfinite(h[1:-1]).all()):
-        raise ValueError("NaN/inf in trajectory passed to eval_Jn")
-    total = _weighted_norm(stage.W0, u, grid) + _weighted_norm(stage.Wstar, h, grid)
-    return LogValue(0.5 * total.mantissa, total.log_scale)
-
-
-def _control_inner(a: np.ndarray, b: np.ndarray, grid: SpaceTimeGrid) -> float:
-    wt = grid.interior_time_weights
-    d = grid.dual_widths
-    return float(np.einsum("j,ji,i->", wt, a[1:-1] * b[1:-1], d))
 
 
 def grad_Jn(
@@ -245,7 +205,7 @@ def minimize_Jn(
 
     b = grad_Jn(zeros, stage, g, u0, prob)[0]
     with np.errstate(over="ignore"):
-        b_sq = _control_inner(b, precond(b), grid)
+        b_sq = integrate_interior(b[1:-1] * precond(b)[1:-1], grid)
     if not np.isfinite(b_sq):
         raise NonFiniteTrajectory("the norm of the CG right-hand side overflows float64")
     stop = tol**2 * b_sq
@@ -256,13 +216,13 @@ def minimize_Jn(
 
     r = -(apply_A(h) + b)
     z = precond(r)
-    rz = _control_inner(r, z, grid)
+    rz = integrate_interior(r[1:-1] * z[1:-1], grid)
     p = z.copy()
     iters = 0
     while rz > stop and iters < maxit:
         Ap = apply_A(p)
         with np.errstate(over="ignore", invalid="ignore"):
-            pAp = _control_inner(p, Ap, grid)
+            pAp = integrate_interior(p[1:-1] * Ap[1:-1], grid)
         if not np.isfinite(pAp):  # alpha = rz/inf = 0 would stall h and r for good
             raise NonFiniteTrajectory("the CG curvature p.Ap overflows float64")
         if pAp <= 0.0:
@@ -272,7 +232,7 @@ def minimize_Jn(
         r -= alpha * Ap
         iters += 1
         z = precond(r)
-        rz_new = _control_inner(r, z, grid)
+        rz_new = integrate_interior(r[1:-1] * z[1:-1], grid)
         p = z + (rz_new / rz) * p
         rz = rz_new
     converged = rz <= stop
@@ -296,7 +256,7 @@ def _gramian(prob: LinearControlProblem) -> _Gramian:
         K = B.T @ ((grid.dt**2 / wt)[:, None] * B)
     if not np.isfinite(K).all():  # a step that amplifies some mode by far more than 1
         raise NonFiniteTrajectory("the modal Gramian overflows float64")
-    window = _window(prob)[1:-1]
+    window = window_mask(grid, prob.omega)[1:-1]
     g, vecs = np.linalg.eigh((q[window].T @ q[window]) * K)
     prob.gramian = _Gramian(
         to_eig=(root[:, None] * q) @ vecs,
@@ -332,7 +292,6 @@ def solve_null_control(
     best = np.inf
     stages: List[StageDiagnostics] = []
     for n in schedule.ns:
-        stage = build_stage(prob, n)
         h_new = np.zeros_like(free)
         # a datum near the float64 limit can overflow here; the forward
         # solve's finiteness check reports it
@@ -344,10 +303,13 @@ def solve_null_control(
         accepted = raw <= best or h is None
         if accepted:
             h, u, best = h_new, u_new, raw
-        cw, sw = _weighted_norm(stage.Wstar, h, grid), _weighted_norm(stage.W0, u, grid)
+        # J_n = (cw + sw)/2: ||h||^2 on the interior rows, n ||u(t_{nt-1})||^2
+        cw = norm_sq(h[1:-1], grid)
+        sw = LogValue.from_float(n) * norm_sq(u[-2], grid, integrate_space)
+        total = sw + cw
         stages.append(
-            StageDiagnostics(float(n), 0, True, eval_Jn(u, h, stage, grid), best, cw, sw,
-                             raw_terminal_norm=raw, accepted=accepted)
+            StageDiagnostics(float(n), 0, True, LogValue(0.5 * total.mantissa, total.log_scale),
+                             best, cw, sw, raw_terminal_norm=raw, accepted=accepted)
         )
         if not accepted:
             break

@@ -16,15 +16,9 @@ from typing import List, Optional
 import numpy as np
 
 from .coeffs import ProblemData
-from .errors import NewtonDivergence
-from .grid import LogValue, integrate_space
-from .hum import (
-    LinearControlProblem,
-    PenaltySchedule,
-    _weighted_norm,
-    solve_null_control,
-    terminal_l2,
-)
+from .errors import NewtonDivergence, NonFiniteTrajectory
+from .grid import LogValue, integrate_space, norm_sq
+from .hum import LinearControlProblem, PenaltySchedule, solve_null_control, terminal_l2
 from .pde import apply_operator, forward_solve_nonlinear
 
 __all__ = ["NewtonState", "residual_source", "local_null_control"]
@@ -46,15 +40,19 @@ def residual_source(u: np.ndarray, pd: ProblemData, prob: LinearControlProblem) 
     """Source g(u) that makes the zero-linearized equation reproduce the
     nonlinear one: g = -[f(t,x,u) - c u] + [(ell(int u) - 1) (a u_x)_x],
     with the same discrete operator as the solvers (u_t - ell (a u_x)_x + f
-    = h rearranged around the zero linearization)."""
+    = h rearranged around the zero linearization).  Raises
+    NonFiniteTrajectory when g is not finite."""
     grid = prob.grid
     rows = u[1:]
-    ts = grid.t[1:].tolist()
-    fval = np.array([pd.f.f(t, grid.x, row) for t, row in zip(ts, rows)], float)
-    lfac = np.array([float(pd.ell.ell(r)) - 1.0 for r in integrate_space(rows, grid)])
     g = np.zeros_like(u)
-    g[1:] = -(fval - prob.c * rows) + lfac[:, None] * apply_operator(prob.op, rows)
+    # an overflow of f or of the defect fails the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fval = np.array([pd.f.f(t, grid.x, row) for t, row in zip(grid.t[1:].tolist(), rows)], float)
+        lfac = np.array([float(pd.ell.ell(r)) - 1.0 for r in integrate_space(rows, grid)])
+        g[1:] = -(fval - prob.c * rows) + lfac[:, None] * apply_operator(prob.op, rows)
     g[:, [0, -1]] = 0.0
+    if not np.isfinite(g).all():
+        raise NonFiniteTrajectory("non-finite residual source")
     return g
 
 
@@ -74,10 +72,6 @@ def local_null_control(
     below while the iteration converges.
     """
     grid = prob.grid
-    # residual sources are measured in plain space-time L2 over the interior rows
-    W = np.zeros((grid.nt + 1, grid.nx + 1))
-    W[1:-1] = 1.0
-
     history: List[NewtonState] = []
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     h = g_prev = None
@@ -87,10 +81,11 @@ def local_null_control(
 
     for k in range(maxit):
         g = residual_source(u, pd, prob)
-        res_norm = _weighted_norm(W, g, grid)
+        # residual sources are measured in plain space-time L2 over the interior rows
+        res_norm = norm_sq(g[1:-1], grid)
         step_norm = None
         if g_prev is not None:
-            step_norm = _weighted_norm(W, g - g_prev, grid)
+            step_norm = norm_sq((g - g_prev)[1:-1], grid)
             grow = grow + 1 if prev_step is not None and prev_step < step_norm else 0
             if grow >= 3:
                 raise NewtonDivergence(

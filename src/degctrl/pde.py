@@ -4,12 +4,11 @@ The discrete operator L approximates (a u_x)_x with a evaluated at cell
 midpoints, which is symmetric and negative semidefinite in the dual-cell
 weighted inner product.  The backward solver is the exact discrete adjoint of
 the forward map (discretize-then-optimize), which the control iterations
-rely on.
+rely on; the two are one implicit-Euler march, run forward or backward.
 
 The potential c of the linear solvers is a number (every built-in f gives
-one) or, for library callers, an (nt+1, nx+1) table.  A number gets one of
-two step kernels, built once per (dt, c) and cached on the operator, so a
-whole control solve builds it once:
+one).  It gets one of two step kernels, built once per (dt, c) and cached
+on the operator, so a whole control solve builds it once:
 
 - Modal, for nx <= MODAL_MAX_NX.  Self-adjointness makes D^{1/2} M D^{-1/2}
   symmetric for the step matrix M = I/dt - L + c I, D the dual widths, so
@@ -20,9 +19,6 @@ whole control solve builds it once:
   also carries the control Gramian of hum (``step_eigenbasis``).
 - LAPACK above: dgttrs per step, with the step matrix factored once by
   dgttrf.
-
-A table is factored once per time row.  The forward and the adjoint solve
-are one implicit-Euler march, run forward or backward in time.
 
 The Picard stepper of the nonlinear solve lags ell(int u), Newton-linearizes
 f and iterates in place in the trajectory row: per iterate, one vecdot for
@@ -55,7 +51,6 @@ __all__ = [
     "forward_solve_linear",
     "adjoint_solve",
     "forward_solve_nonlinear",
-    "duality_pairing",
     "h1a_norm_sq",
 ]
 
@@ -204,18 +199,13 @@ def step_eigenbasis(op: DegenerateOperator, dt: float, c: float) -> _ModalFactor
     return _modal_factors(op, dt, _step_bands(op, dt, 1.0, c))
 
 
-def _step_kernel(op: DegenerateOperator, dt: float, c):
+def _step_kernel(op: DegenerateOperator, dt: float, c: float):
     """The step kernel of a number c: _ModalFactors for nx <= MODAL_MAX_NX,
-    the _factor solve above.  None for a table c, which is factored row by
-    row.
-
-    The kernel is cached on op, keyed by (dt, c), so a control solve builds
-    it once for all its forward and adjoint solves.  Raises LinAlgError for
-    a singular step matrix.
-    """
-    if isinstance(c, np.ndarray):
-        return None
-    key = (dt, c)
+    the _factor solve above.  It is cached on op, keyed by (dt, float(c)),
+    so a control solve builds it once for all its forward and adjoint
+    solves, and a c that is not a number raises TypeError.  Raises
+    LinAlgError for a singular step matrix."""
+    key = (dt, float(c))
     if op.step_kernel is None or op.step_kernel[0] != key:
         bands = _step_bands(op, dt, 1.0, c)
         modal = op.diag.size + 1 <= MODAL_MAX_NX
@@ -241,7 +231,7 @@ def _modal_march(m: _ModalFactors, b: np.ndarray) -> np.ndarray:
 
 
 def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
-    """A trajectory whose interior rows solve M_j x_j = x_prev/dt plus the
+    """A trajectory whose interior rows solve M x_j = x_prev/dt plus the
     sources' rows j (each None for zero, added in order), with x_prev = start
     at the first step, for j = 1, ..., nt or, backward, j = nt, ..., 1.  Row
     0 stays zero.  Raises like forward_solve_linear."""
@@ -260,14 +250,12 @@ def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
                 b += s
             out[...] = _modal_march(kernel, b)
         else:
-            c_rows = None if kernel else c[rows, 1:-1]
             x = start
             for k in range(grid.nt):
-                solve = kernel or _factor(_step_bands(op, dt, 1.0, c_rows[k]))
                 rhs = x / dt
                 for s in srcs:
                     rhs += s[k]
-                x = out[k] = solve(rhs)
+                x = out[k] = kernel(rhs)
     if not np.isfinite(traj).all():
         raise NonFiniteTrajectory("non-finite values in the solved trajectory")
     return traj
@@ -283,7 +271,7 @@ def forward_solve_linear(
 ) -> np.ndarray:
     """Implicit Euler for u_t - (a u_x)_x + c u = h + g.
 
-    c is a number or an (nt+1, nx+1) table; g, h are (nt+1, nx+1)
+    c is a number; g, h are (nt+1, nx+1)
     tabulations (None for zero); h is used as given — restriction to the
     control window is the caller's job.  Returns the full (nt+1, nx+1)
     trajectory with exact Dirichlet rows.  Raises LinAlgError for a singular
@@ -305,23 +293,16 @@ def adjoint_solve(
     """Backward implicit Euler for -p_t - (a p_x)_x + c p = source.
 
     With p_{nt+1} = terminal (default 0), rows j = nt, ..., 1 solve
-    M_j p_j = p_{j+1}/dt + source_j, where M_j = I/dt - L + diag(c_j) is the
-    forward step matrix of row j, and p_0 = p_1.  For terminal = 0 this is
-    the exact discrete adjoint of forward_solve_linear:
-    duality_pairing(source, u) = duality_pairing(p, h) for u the forward
-    solution with u0 = 0 and control h.  Raises like forward_solve_linear.
+    M p_j = p_{j+1}/dt + source_j, where M = I/dt - L + c I is the forward
+    step matrix, and p_0 = p_1.  For terminal = 0 this is the exact discrete
+    adjoint of forward_solve_linear: grid.duality_pairing(source, u) =
+    grid.duality_pairing(p, h) for u the forward solution with u0 = 0 and
+    control h.  Raises like forward_solve_linear.
     """
     end = np.zeros(grid.nx - 1) if terminal is None else np.asarray(terminal)[1:-1]
     p = _march(c, end, (source,), grid, op, backward=True)
     p[0] = p[1]
     return p
-
-
-def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid):
-    """dt * sum_{j=1..nt} (a_j, b_j)_D — the pairing under which the backward
-    solve is the exact transpose of the forward one."""
-    rows = np.einsum("ji,i,ji->j", a_traj[1:], grid.dual_widths, b_traj[1:])
-    return grid.dt * float(np.sum(rows))
 
 
 def forward_solve_nonlinear(
@@ -344,34 +325,36 @@ def forward_solve_nonlinear(
     f, df, ell = pd.f.f, pd.f.df_du, pd.ell.ell
     u = np.zeros((nt + 1, grid.nx + 1))
     u[0, 1:-1] = pd.u0[1:-1]
-    for j in range(1, nt + 1):
-        tj = grid.t[j]
-        # row j is the inner iterate, started from row j-1; its Dirichlet
-        # nodes stay 0, so its vecdot with the widths is integrate_space
-        row = u[j]
-        uk = row[1:-1]
-        uk[...] = u[j - 1, 1:-1]
-        base = uk / dt if h is None else uk / dt + h[j, 1:-1]
-        for it in range(maxit):
-            lk = float(ell(float(np.vecdot(row, widths))))
-            fk = np.asarray(f(tj, x, uk), dtype=float)
-            dfk = np.asarray(df(tj, x, uk), dtype=float)
-            x_new = _solve_bands(_step_bands(op, dt, lk, dfk), base - fk + dfk * uk)
-            # max|x_new| is NaN or inf iff some entry is
-            scale = float(np.abs(x_new).max())
-            if not math.isfinite(scale):
+    # an overflow of f or of an iterate fails its finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, nt + 1):
+            tj = grid.t[j]
+            # row j is the inner iterate, started from row j-1; its Dirichlet
+            # nodes stay 0, so its vecdot with the widths is integrate_space
+            row = u[j]
+            uk = row[1:-1]
+            uk[...] = u[j - 1, 1:-1]
+            base = uk / dt if h is None else uk / dt + h[j, 1:-1]
+            for it in range(maxit):
+                lk = float(ell(float(np.vecdot(row, widths))))
+                fk = np.asarray(f(tj, x, uk), dtype=float)
+                dfk = np.asarray(df(tj, x, uk), dtype=float)
+                x_new = _solve_bands(_step_bands(op, dt, lk, dfk), base - fk + dfk * uk)
+                # max|x_new| is NaN or inf iff some entry is
+                scale = float(np.abs(x_new).max())
+                if not math.isfinite(scale):
+                    raise PicardDivergence(
+                        f"non-finite inner iterate at t={tj:.4g} (iteration {it})"
+                    )
+                inc = float(np.abs(x_new - uk).max()) / max(scale, 1e-300)
+                uk[...] = x_new
+                if inc <= tol:
+                    break
+            else:
                 raise PicardDivergence(
-                    f"non-finite inner iterate at t={tj:.4g} (iteration {it})"
+                    f"inner loop at t={tj:.4g} did not reach tol={tol} "
+                    f"within {maxit} iterations (last increment {inc:.3g})"
                 )
-            inc = float(np.abs(x_new - uk).max()) / max(scale, 1e-300)
-            uk[...] = x_new
-            if inc <= tol:
-                break
-        else:
-            raise PicardDivergence(
-                f"inner loop at t={tj:.4g} did not reach tol={tol} "
-                f"within {maxit} iterations (last increment {inc:.3g})"
-            )
     return u
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .coeffs import DegeneracyCoefficient
 from .errors import AdmissibilityFail, ConfigError, ZeroDenominator
-from .grid import LogValue, SpaceTimeGrid, integrate_spacetime_logweight
+from .grid import (LogValue, SpaceTimeGrid, integrate_interior, integrate_spacetime_logweight,
+                   window_mask)
 from .pde import (
     DegenerateOperator,
     adjoint_solve,
@@ -202,9 +203,7 @@ def carleman_check(
         t2 = integrate_spacetime_logweight(logW + 2.0 * logw1 + 2.0 * sl, v * v, grid)
         lhs = t1 + t2
         r1 = integrate_spacetime_logweight(logW, F * F, grid)
-        xl, xr = omega
-        mask = (grid.x >= xl) & (grid.x <= xr)
-        vo = np.where(mask[None, :], v, 0.0)
+        vo = np.where(window_mask(grid, omega)[None, :], v, 0.0)
         r2 = integrate_spacetime_logweight(logW + 3.0 * logw1 + 3.0 * sl, vo * vo, grid)
     rhs = r1 + r2
     return InequalityReport(
@@ -315,14 +314,13 @@ def energy_estimate_ratio(
     [sup_t ||u||_{H1_a}^2 + iint u_t^2 + iint ((a u_x)_x)^2] over
     [||u(0)||_{H1_a}^2 + iint F^2]."""
     inner = slice(1, grid.nt)
-    wt, d = grid.interior_time_weights, grid.dual_widths
     h1a = h1a_norm_sq(u, op, grid)
     du = np.diff(u[: grid.nt], axis=0) / grid.dt  # rows 1..nt-1
     Lu = apply_operator(op, u[inner])
-    lhs = float(np.max(h1a)) + float(wt @ ((du * du) @ d)) + float(wt @ ((Lu * Lu) @ d))
+    lhs = float(np.max(h1a)) + integrate_interior(du * du, grid) + integrate_interior(Lu * Lu, grid)
     rhs = float(h1a[0])
     if F is not None:
-        rhs += float(wt @ ((F[inner] * F[inner]) @ d))
+        rhs += integrate_interior(F[inner] * F[inner], grid)
     if rhs <= 0.0:
         raise ZeroDenominator("zero data in energy estimate")
     L, R = LogValue.from_float(lhs), LogValue.from_float(rhs)

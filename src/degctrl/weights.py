@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coeffs import DegeneracyCoefficient
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, window_mask
 
 __all__ = [
     "CarlemanParams",
@@ -320,8 +320,7 @@ def build_truncated_fields(
     log_rho_n = -s * A_n
     log_rho0_n = log_rho_n - log_varsigma_n
 
-    xl, xr = omega
-    mask = (grid.x >= xl) & (grid.x <= xr)
+    mask = window_mask(grid, omega)
     log_rhostar_n = fields.log_rhostar + np.where(mask, 0.0, math.log(n))[None, :]
 
     trunc = TruncatedFields(

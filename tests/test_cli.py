@@ -286,6 +286,8 @@ def _assert_finite_summary(out):
 
 
 class TestControlExitCodeFuzz:
+    # overflow is reported through the exit code, not as a numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(
         command=st.sampled_from(["null-control", "null-control-nonlinear", "solve-forward"]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from degctrl import LogValue, build_grid, integrate_space, integrate_spacetime_logweight
-from degctrl.grid import l2_norm
+from degctrl.grid import integrate_interior, l2_norm, norm_sq
 
 finite_floats = st.floats(
     min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False
@@ -82,6 +82,21 @@ class TestGrid:
             assert l2_norm(scale * v, g) == pytest.approx(scale * want, rel=1e-14)
         assert l2_norm(np.where(v > 0, np.inf, v), g) == np.inf
         assert np.isnan(l2_norm(np.where(v > 0, np.nan, v), g))
+
+    def test_interior_quadrature_and_its_norm(self):
+        g = build_grid(13, 6, 2.0, gamma=2.0)
+        # a constant integrates to T times the length of [0, 1]
+        assert integrate_interior(np.ones((g.nt - 1, g.nx + 1)), g) == pytest.approx(2.0)
+        v = np.random.default_rng(4).standard_normal((g.nt - 1, g.nx + 1))
+        want = integrate_interior(v**2, g)
+        assert norm_sq(v, g) == LogValue.from_float(want)  # the same bits where v**2 is finite
+        for scale in (1e160, 1e250, 1e300):
+            got = norm_sq(scale * v, g).log()
+            assert got == pytest.approx(math.log(want) + 2.0 * math.log(scale), rel=1e-14)
+        row = norm_sq(1e300 * v[0], g, integrate_space).log()  # one row
+        assert row == pytest.approx(2.0 * math.log(1e300 * l2_norm(v[0], g)), rel=1e-14)
+        assert norm_sq(np.where(v > 0, np.inf, v), g).log() == math.inf
+        assert np.isnan(norm_sq(np.where(v > 0, np.nan, v), g).mantissa)
 
 
 class TestLogWeightQuadrature:

@@ -7,7 +7,6 @@ import pytest
 from degctrl import (
     PenaltySchedule,
     build_stage,
-    eval_Jn,
     grad_Jn,
     minimize_Jn,
     solve_null_control,
@@ -16,12 +15,16 @@ from degctrl import (
 from degctrl import NonFiniteTrajectory, hum, pde
 from degctrl.cli import _control_problem
 from degctrl.config import load_config, parse_config
-from degctrl.grid import l2_norm
-from degctrl.hum import _control_inner, _weighted_quad
+from degctrl.grid import integrate_interior, l2_norm
 from tests.conftest import make_control_problem
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
 CG_TOL = 1e-8  # minimize_Jn's default relative stop
+
+
+def _inner(a, b, grid):
+    """The control-space inner product of a and b over the interior rows."""
+    return integrate_interior(a[1:-1] * b[1:-1], grid)
 
 
 class TestSchedule:
@@ -41,14 +44,14 @@ class TestSchedule:
 
 class TestStageWeights:
     def test_weights_are_the_penalized_hum_stage(self, bench32):
-        # 1/2 int int |h|^2 + (n/2) ||u(t_{nt-1})||^2, through _weighted_quad
+        # 1/2 int int |h|^2 + (n/2) ||u(t_{nt-1})||^2, through the interior quadrature
         grid = bench32.grid
         stage = build_stage(bench32, 10.0)
         assert np.all(stage.Wstar[1:-1] == 1.0)
         assert np.all(stage.W0[:-2] == 0.0) and np.all(stage.W0[-2] > 0.0)
         u = np.random.default_rng(0).standard_normal((grid.nt + 1, grid.nx + 1))
         want = 10.0 * l2_norm(u[-2], grid) ** 2
-        assert abs(_weighted_quad(stage.W0, u, grid) - want) <= 1e-13 * want
+        assert abs(_inner(stage.W0, u * u, grid) - want) <= 1e-13 * want
 
     def test_endpoint_rows_zero(self, bench32):
         stage = build_stage(bench32, 10.0)
@@ -60,7 +63,7 @@ class TestStageWeights:
         rng = np.random.default_rng(0)
         u = rng.standard_normal((grid.nt + 1, grid.nx + 1))
         h = rng.standard_normal((grid.nt + 1, grid.nx + 1))
-        assert eval_Jn(u, h, stage, grid).log() > -np.inf
+        assert _effective_j(u, h, stage, grid) > 0.0
 
 
 class TestGradient:
@@ -84,7 +87,7 @@ class TestGradient:
             jp = _effective_j(*_traj(h + eps * d, stage, u0, bench32), stage, grid)
             jm = _effective_j(*_traj(h - eps * d, stage, u0, bench32), stage, grid)
             fd = (jp - jm) / (2 * eps)
-            an = _control_inner(grad, d, grid)
+            an = _inner(grad, d, grid)
             worst = max(worst, abs(fd - an) / max(abs(fd), 1e-300))
         assert worst <= 1e-6
 
@@ -98,9 +101,7 @@ def _traj(h, stage, u0, prob):
 
 def _effective_j(u, h, stage, grid):
     """J_n as a plain float."""
-    return 0.5 * _weighted_quad(stage.W0, u, grid) + 0.5 * _weighted_quad(
-        stage.Wstar, h, grid
-    )
+    return 0.5 * _inner(stage.W0, u * u, grid) + 0.5 * _inner(stage.Wstar, h * h, grid)
 
 
 class TestMinimization:
@@ -116,10 +117,10 @@ class TestMinimization:
         )
         assert converged
         grad, _ = grad_Jn(h, stage, None, u0, bench16)
-        gnorm = np.sqrt(_control_inner(grad, grad, grid))
+        gnorm = np.sqrt(_inner(grad, grad, grid))
         h0 = np.zeros_like(h)
         g0, _ = grad_Jn(h0, stage, None, u0, bench16)
-        g0norm = np.sqrt(_control_inner(g0, g0, grid))
+        g0norm = np.sqrt(_inner(g0, g0, grid))
         assert gnorm <= 1e-8 * max(g0norm, 1.0)
 
 
@@ -248,7 +249,7 @@ def _dual_norm(v, stage, grid):
     w = np.zeros_like(v)
     w[1:-1] = v[1:-1] / stage.Wstar[1:-1]
     w[:, stage.outside] = 0.0
-    return np.sqrt(_control_inner(v, w, grid))
+    return np.sqrt(_inner(v, w, grid))
 
 
 def _default_config(**disc):
@@ -351,7 +352,7 @@ class TestCurvatureOverflow:
         zeros = np.zeros((grid.nt + 1, grid.nx + 1))
         b = grad_Jn(zeros, stage, None, u0, bench16)[0]
         ab = grad_Jn(b, stage, None, zeros[0], bench16)[0]
-        b_sq, pAp = _control_inner(b, b, grid), _control_inner(b, ab, grid)
+        b_sq, pAp = _inner(b, b, grid), _inner(b, ab, grid)
         assert pAp > 1e4 * b_sq
         scale = np.sqrt(1e308 / np.sqrt(b_sq * pAp))
         with pytest.raises(NonFiniteTrajectory, match="p.Ap"):

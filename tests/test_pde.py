@@ -70,10 +70,9 @@ class TestForwardSolve:
     def test_decay_without_forcing(self):
         grid = build_grid(32, 32, 1.0)
         op = assemble_degenerate_operator(power_coefficient(0.5), grid)
-        c = np.zeros((grid.nt + 1, grid.nx + 1))
         u0 = np.sin(np.pi * grid.x)
         u0[0] = u0[-1] = 0.0
-        u = forward_solve_linear(c, None, None, u0, grid, op)
+        u = forward_solve_linear(0.0, None, None, u0, grid, op)
         norms = [integrate_space(u[j] ** 2, grid) for j in range(grid.nt + 1)]
         assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
@@ -86,8 +85,7 @@ class TestForwardSolve:
             x, t = grid.x, grid.t[:, None]
             exact = np.exp(-t) * (x**1.5 - x**2.5)
             src = np.exp(-t) * (-(x**1.5 - x**2.5) - (1.5 - 5.0 * x) + (x**1.5 - x**2.5))
-            c = np.ones((grid.nt + 1, grid.nx + 1))
-            u = forward_solve_linear(c, src, None, exact[0], grid, op)
+            u = forward_solve_linear(1.0, src, None, exact[0], grid, op)
             errs.append(np.sqrt(integrate_space((u[-1] - exact[-1]) ** 2, grid)))
         orders = [np.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
         assert min(orders) >= 1.8
@@ -105,8 +103,7 @@ class TestForwardSolve:
         )
         h = np.zeros((grid.nt + 1, grid.nx + 1))
         u_nl = forward_solve_nonlinear(pd, h, grid, op)
-        c = np.ones((grid.nt + 1, grid.nx + 1))
-        u_lin = forward_solve_linear(c, None, None, pd.u0, grid, op)
+        u_lin = forward_solve_linear(1.0, None, None, pd.u0, grid, op)
         np.testing.assert_allclose(u_nl, u_lin, atol=1e-12)
 
     def test_picard_divergence_on_blowup(self):
@@ -203,14 +200,14 @@ def _reference_adjoint(source, c, grid, op, terminal):
     return p
 
 
-def _kernel_pairs(nx, nt, c_kind):
+def _kernel_pairs(nx, nt):
     """(solver, reference) results on one random case: forward for every
     (g, h) combination, adjoint with zero and with random terminal data."""
     grid = build_grid(nx, nt, 1.0)
     op = assemble_degenerate_operator(power_coefficient(0.5), grid)
     rng = np.random.default_rng(11)
     shape = (grid.nt + 1, grid.nx + 1)
-    c = 0.7 if c_kind == "constant" else rng.random(shape)
+    c = 0.7
     g, h, s = (rng.standard_normal(shape) for _ in range(3))
     u0 = np.sin(np.pi * grid.x)
     terminal = np.zeros(grid.nx + 1)
@@ -238,35 +235,28 @@ def _cached_kernel(op):
 
 class TestStepKernel:
     """The modal and the factored LAPACK kernels against a per-row banded
-    solve.  A number c gets a cached kernel; a table c is factored per row."""
+    solve.  The potential c is a number, whose kernel is cached."""
 
     @pytest.mark.parametrize(
-        "nx, nt, c_kind, modal_max",
+        "nx, nt, modal_max",
         [
-            pytest.param(
-                MODAL_MAX_NX + 32, 8, "constant", MODAL_MAX_NX, id="constant_above_cutoff"
-            ),
-            pytest.param(24, 20, "time_varying", MODAL_MAX_NX, id="time_varying"),
+            pytest.param(MODAL_MAX_NX + 32, 8, MODAL_MAX_NX, id="constant_above_cutoff"),
             # scipy's dgttrf rejects one or two interior nodes, dgtsv one
-            pytest.param(2, 6, "time_varying", MODAL_MAX_NX, id="time_varying_one_node"),
-            pytest.param(2, 6, "constant", 1, id="constant_one_node_above_cutoff"),
-            pytest.param(3, 6, "time_varying", MODAL_MAX_NX, id="time_varying_two_nodes"),
-            pytest.param(3, 6, "constant", 2, id="constant_two_nodes_above_cutoff"),
+            pytest.param(2, 6, 1, id="constant_one_node_above_cutoff"),
+            pytest.param(3, 6, 2, id="constant_two_nodes_above_cutoff"),
         ],
     )
-    def test_bit_identical_to_per_row_banded_solve(
-        self, monkeypatch, nx, nt, c_kind, modal_max
-    ):
+    def test_bit_identical_to_per_row_banded_solve(self, monkeypatch, nx, nt, modal_max):
         monkeypatch.setattr(pde, "MODAL_MAX_NX", modal_max)
-        op, pairs = _kernel_pairs(nx, nt, c_kind)
-        assert not isinstance(_cached_kernel(op), _ModalFactors)  # the LAPACK kernel ran
-        assert (_cached_kernel(op) is None) == (c_kind == "time_varying")
+        op, pairs = _kernel_pairs(nx, nt)
+        kernel = _cached_kernel(op)
+        assert kernel is not None and not isinstance(kernel, _ModalFactors)  # LAPACK ran
         for got, want in pairs:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("nx, nt", [(24, 20), (64, 64), (2, 6)])
     def test_modal_kernel_matches_per_row_banded_solve(self, nx, nt):
-        op, pairs = _kernel_pairs(nx, nt, "constant")
+        op, pairs = _kernel_pairs(nx, nt)
         assert isinstance(_cached_kernel(op), _ModalFactors)
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -291,12 +281,18 @@ class TestStepKernel:
         got = forward_solve_linear(0.3, None, None, u0, grid, prob.op)
         assert len(calls) == 2
         assert np.array_equal(got, _reference_forward(0.3, None, None, u0, grid, prob.op))
-        # a table is factored once per row, even when its rows agree, and
-        # leaves the cached factors in place
-        table = np.full((grid.nt + 1, grid.nx + 1), 0.3)
-        assert np.array_equal(forward_solve_linear(table, None, None, u0, grid, prob.op), got)
-        assert len(calls) == 2 + grid.nt
         assert prob.op.step_kernel[0] == (grid.dt, 0.3)
+
+    def test_table_potential_is_type_error(self):
+        # c is one number; a (nt+1, nx+1) table fails before any solve
+        grid = build_grid(8, 4, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        table = np.full((grid.nt + 1, grid.nx + 1), 0.3)
+        with pytest.raises(TypeError):
+            forward_solve_linear(table, None, None, np.sin(np.pi * grid.x), grid, op)
+        with pytest.raises(TypeError):
+            adjoint_solve(np.ones_like(table), table, grid, op)
+        assert op.step_kernel is None
 
     def test_singular_step_matrix(self):
         # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes;
@@ -307,15 +303,10 @@ class TestStepKernel:
             zero = dataclasses.replace(
                 op, lower=0.0 * op.lower, diag=0.0 * op.diag, upper=0.0 * op.upper
             )
-            shape = (grid.nt + 1, grid.nx + 1)
             c = -1.0 / grid.dt
             u0 = np.sin(np.pi * grid.x)
             with pytest.raises(np.linalg.LinAlgError):
                 forward_solve_linear(c, None, None, u0, grid, zero)
-            c_varying = c + np.linspace(0.0, 1.0, grid.nt + 1)[:, None] + np.zeros(shape)
-            c_varying[-1] = c
-            with pytest.raises(np.linalg.LinAlgError):
-                adjoint_solve(np.ones(shape), c_varying, grid, zero)
             pd = ProblemData(
                 a=power_coefficient(0.5),
                 ell=NonlocalFactor.constant(),
@@ -331,7 +322,7 @@ class TestStepKernel:
         grid = build_grid(8, 4, 1.0)
         op = assemble_degenerate_operator(power_coefficient(0.5), grid)
         shape = (grid.nt + 1, grid.nx + 1)
-        c = np.ones(shape)
+        c = 1.0
         bad = np.zeros(shape)
         bad[2, 3] = np.inf
         with pytest.raises(ValueError):
@@ -367,11 +358,12 @@ def _duality_error(grid, c, rng, trials=5):
 
 
 class TestAdjointDuality:
-    def test_exact_duality(self):
+    def test_exact_duality(self, monkeypatch):
+        # the LAPACK kernel; the modal kernel is the next test
+        monkeypatch.setattr(pde, "MODAL_MAX_NX", 1)
         grid = build_grid(16, 16, 1.0)
         rng = np.random.default_rng(7)
-        c = rng.random((grid.nt + 1, grid.nx + 1))
-        assert _duality_error(grid, c, rng) <= 1e-10
+        assert _duality_error(grid, float(rng.random()), rng) <= 1e-10
 
     def test_exact_duality_modal_kernel(self):
         grid = build_grid(64, 64, 1.0)

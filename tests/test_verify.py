@@ -36,6 +36,11 @@ from tests.conftest import make_fields
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
 
 
+@pytest.fixture(scope="module")
+def fields32(bench32):
+    return make_fields(power_coefficient(0.5), bench32.grid)
+
+
 class TestHardyPoincare:
     def test_symbolic_value_for_linear_coefficient(self):
         # a = x, w = x(1-x): LHS = int x^{-1} x^2 (1-x)^2 = 1/12,
@@ -66,51 +71,51 @@ class TestHardyPoincare:
 
 
 class TestCarleman:
-    def test_both_kinds_finite(self, bench32):
+    def test_both_kinds_finite(self, bench32, fields32):
         grid = bench32.grid
         rng = np.random.default_rng(3)
         F = random_smooth_field(grid, rng)
         vT = random_profile(grid, rng)
         for kind in ("phi_weights", "A_weights"):
             rep = carleman_check(
-                kind, F, vT, bench32.c, bench32.fields, grid, bench32.op, bench32.omega
+                kind, F, vT, bench32.c, fields32, grid, bench32.op, bench32.omega
             )
             assert np.isfinite(rep.ratio)
             assert np.isfinite(rep.lhs.log()) and np.isfinite(rep.rhs.log())
 
-    def test_unknown_kind_rejected(self, bench32):
+    def test_unknown_kind_rejected(self, bench32, fields32):
         grid = bench32.grid
         F = np.zeros((grid.nt + 1, grid.nx + 1))
         with pytest.raises(ValueError):
             carleman_check(
-                "bogus", F, None, bench32.c, bench32.fields, grid, bench32.op, bench32.omega
+                "bogus", F, None, bench32.c, fields32, grid, bench32.op, bench32.omega
             )
 
 
 class TestENorm:
-    def test_finite_for_free_solution(self, bench32):
+    def test_finite_for_free_solution(self, bench32, fields32):
         grid = bench32.grid
         u0 = np.sin(np.pi * grid.x)
         u0[0] = u0[-1] = 0.0
         u = forward_solve_linear(bench32.c, None, None, u0, grid, bench32.op)
-        en = e_norm(u, None, bench32.fields, grid, bench32.op)
+        en = e_norm(u, None, fields32, grid, bench32.op)
         assert np.isfinite(en.log())
 
-    def test_scales_quadratically(self, bench32):
+    def test_scales_quadratically(self, bench32, fields32):
         grid = bench32.grid
         u0 = np.sin(np.pi * grid.x)
         u0[0] = u0[-1] = 0.0
         u = forward_solve_linear(bench32.c, None, None, u0, grid, bench32.op)
-        en = e_norm(u, None, bench32.fields, grid, bench32.op)
-        en2 = e_norm(2.0 * u, None, bench32.fields, grid, bench32.op)
+        en = e_norm(u, None, fields32, grid, bench32.op)
+        en2 = e_norm(2.0 * u, None, fields32, grid, bench32.op)
         assert en2.log() - en.log() == pytest.approx(np.log(4.0), abs=1e-6)
 
-    def test_sup_bound_finite(self, bench32):
+    def test_sup_bound_finite(self, bench32, fields32):
         grid = bench32.grid
         u0 = np.sin(np.pi * grid.x)
         u0[0] = u0[-1] = 0.0
         u = forward_solve_linear(bench32.c, None, None, u0, grid, bench32.op)
-        rep = nonlocal_sup_bound(u, None, bench32.fields, grid, bench32.op)
+        rep = nonlocal_sup_bound(u, None, fields32, grid, bench32.op)
         assert np.isfinite(rep.lhs.log())
         assert rep.lhs.log() <= rep.rhs.log()
 
@@ -124,8 +129,7 @@ class TestEnergyEstimate:
         rng = np.random.default_rng(0)
         u0 = random_profile(grid, rng)
         F = random_smooth_field(grid, rng)
-        c = np.zeros((grid.nt + 1, grid.nx + 1))
-        u = forward_solve_linear(c, F, None, u0, grid, op)
+        u = forward_solve_linear(0.0, F, None, u0, grid, op)
         rep = energy_estimate_ratio(u, F, grid, op)
         assert 0.0 < rep.ratio < 100.0
 
@@ -258,7 +262,7 @@ def _witness_pairs(nx, nt, gamma, seed, with_h):
     op = assemble_degenerate_operator(a, grid)
     fields = make_fields(a, grid)
     rng = np.random.default_rng(seed)
-    c = np.ones((nt + 1, nx + 1))
+    c = 1.0
     F = random_smooth_field(grid, rng)
     u = forward_solve_linear(c, F, None, random_profile(grid, rng), grid, op)
     ub = forward_solve_linear(c, None, None, random_profile(grid, rng), grid, op)
