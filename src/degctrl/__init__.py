@@ -28,7 +28,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .grid import (
-    LogValue,
     SpaceTimeGrid,
     build_grid,
     duality_pairing,

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -82,7 +84,7 @@ def _build_fields(cfg: ExperimentConfig):
     )
     try:
         fields = build_weight_fields(params, cfg.problem.a, cfg.grid)
-    except OverflowError as exc:  # e^{3 lambda |psi|_inf} beyond float64
+    except OverflowError as exc:  # e^{3 lambda |psi|_inf} or a weight table beyond float64
         raise ConfigError("carleman.lambda", f"weights overflow float64 ({exc})") from exc
     if cfg.M_fraction != 0.5:
         fields.params.M = cfg.M_fraction * cfg.s * fields.beta_bar
@@ -127,16 +129,21 @@ def cmd_solve_forward(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _split_log(log: float):
+    """(mantissa, log scale) of exp(log): (exp(log), 0.0) while that is a
+    finite float, else (1.0, log)."""
+    return (math.exp(log), 0.0) if log < 709.0 else (1.0, log)
+
+
 def _stage_rows(stages):
     return [
         (
             st.n,
             st.cg_iters,
-            st.Jn.mantissa,
-            st.Jn.log_scale,
+            *_split_log(st.Jn_log),
             st.terminal_norm,
-            st.ctrl_weighted_norm.log(),
-            st.state_weighted_norm.log(),
+            st.ctrl_weighted_norm_log,
+            st.state_weighted_norm_log,
         )
         for st in stages
     ]
@@ -192,7 +199,7 @@ def cmd_null_control_nonlinear(cfg: ExperimentConfig, out: str, quiet: bool) -> 
     rows = [
         (
             st.k,
-            st.residual_norm.log(),
+            st.residual_log,
             st.terminal_norm_linear,
             "" if st.terminal_norm_nonlinear is None else st.terminal_norm_nonlinear,
         )
@@ -231,6 +238,8 @@ def cmd_verify(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     t0 = time.perf_counter()
     rows, all_pass = run_verifications(cfg, _build_fields)
     wall = time.perf_counter() - t0
+    # echo the seed the rows carry, also where a caller set cfg.verify_seed alone
+    cfg = dataclasses.replace(cfg, raw=_set_path(cfg.raw, "verify.seed", cfg.verify_seed))
     write_csv(
         os.path.join(out, "verification.csv"),
         ["check_name", "s", "lambda", "n", "seed", "lhs_log", "rhs_log", "ratio", "pass"],

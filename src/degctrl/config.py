@@ -93,6 +93,8 @@ def _build_ell(block: dict) -> NonlocalFactor:
 def _build_f(block: dict) -> SemilinearTerm:
     kind = _get(block, "kind", "problem.f.kind", str, default="linear")
     coeff = float(_get(block, "coeff", "problem.f.coeff", (int, float), default=1.0))
+    if not np.isfinite(coeff):  # before f is built: inf * 0 would evaluate to NaN
+        raise ValueError(f"coeff must be finite, got {coeff}")
     if kind == "linear":
         return SemilinearTerm.linear(coeff)
     if kind == "sine":

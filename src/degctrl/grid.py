@@ -3,22 +3,20 @@
 The spatial mesh is graded toward x = 0 (where the diffusion coefficient
 vanishes) by the map x_i = (i/nx)**gamma; the time grid is uniform.
 
-Integrals against exponential weights are carried in factored form
-``mantissa * exp(log_scale)`` (:class:`LogValue`) because the weights reach
-exp of +-1e6 and beyond, far outside float64 range.
+Integrals against exponential weights are carried as their natural logs,
+plain floats with -inf for zero, because the weights reach exp of +-1e6 and
+beyond, far outside float64 range.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "LogValue",
     "SpaceTimeGrid",
     "build_grid",
     "window_mask",
@@ -28,80 +26,6 @@ __all__ = [
     "duality_pairing",
     "integrate_spacetime_logweight",
 ]
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """Nonnegative real stored as ``mantissa * exp(log_scale)``."""
-
-    mantissa: float
-    log_scale: float = 0.0
-
-    @staticmethod
-    def from_float(x: float) -> "LogValue":
-        if x < 0:
-            raise ValueError("LogValue represents nonnegative quantities")
-        return LogValue(float(x), 0.0)
-
-    @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(0.0, 0.0)
-
-    def is_zero(self) -> bool:
-        return self.mantissa == 0.0
-
-    def log(self) -> float:
-        """Natural log of the value (-inf for zero)."""
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log(self.mantissa) + self.log_scale
-
-    def to_float(self) -> float:
-        """Collapse to a plain float; overflows to inf for huge scales."""
-        if self.mantissa == 0.0:
-            return 0.0
-        lg = self.log()
-        if lg > 709.0:
-            return math.inf
-        return math.exp(lg)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        big, small = (self, other) if self.log() >= other.log() else (other, self)
-        return LogValue(
-            big.mantissa * (1.0 + math.exp(small.log() - big.log())),
-            big.log_scale,
-        )
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        m = self.mantissa * other.mantissa
-        if not (sys.float_info.min <= abs(m) <= sys.float_info.max) and not (
-            self.is_zero() or other.is_zero()
-        ):
-            # mantissa product left normal range; renormalize via logs
-            return LogValue(1.0, self.log() + other.log())
-        return LogValue(m, self.log_scale + other.log_scale)
-
-    def shifted(self, delta_log: float) -> "LogValue":
-        """Multiply by exp(delta_log)."""
-        return LogValue(self.mantissa, self.log_scale + delta_log)
-
-    def ratio(self, other: "LogValue") -> "LogValue":
-        """self / other, for positive ``other``."""
-        if other.is_zero():
-            raise ZeroDivisionError("ratio with zero denominator")
-        if self.is_zero():
-            return LogValue.zero()
-        return LogValue(self.mantissa / other.mantissa, self.log_scale - other.log_scale)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return self.log() < other.log()
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self.log() <= other.log()
 
 
 @dataclass(frozen=True)
@@ -165,6 +89,11 @@ def build_grid(nx: int, nt: int, T: float, gamma: float = 2.0) -> SpaceTimeGrid:
     return SpaceTimeGrid(nx=nx, nt=nt, x=x, t=t, gamma=float(gamma))
 
 
+def safe_log(x: float) -> float:
+    """math.log extended by log 0 = -inf; NaN and inf pass through."""
+    return math.log(x) if x != 0.0 else -math.inf
+
+
 def window_mask(grid: SpaceTimeGrid, omega) -> np.ndarray:
     """The nodes of the control window omega = (xl, xr), both ends included."""
     return (grid.x >= omega[0]) & (grid.x <= omega[1])
@@ -201,17 +130,17 @@ def integrate_interior(rows: np.ndarray, grid: SpaceTimeGrid) -> float:
     return float(np.einsum("j,ji,i->", grid.interior_time_weights, rows, grid.dual_widths))
 
 
-def norm_sq(v: np.ndarray, grid: SpaceTimeGrid, integrate=integrate_interior) -> LogValue:
-    """integrate(v**2) as a LogValue: over a block of interior rows, or over
-    one row with ``integrate_space``.  Where the squares of a finite v
-    overflow float64, v is scaled by max|v| first, as in l2_norm, so that the
-    log stays finite."""
+def log_norm_sq(v: np.ndarray, grid: SpaceTimeGrid, integrate=integrate_interior) -> float:
+    """log integrate(v**2): over a block of interior rows, or over one row
+    with ``integrate_space``.  Where the squares of a finite v overflow
+    float64, v is scaled by max|v| first, as in l2_norm, so that the log
+    stays finite."""
     with np.errstate(over="ignore"):
         quad = integrate(v**2, grid)
     top = float(np.max(np.abs(v)))
     if not math.isfinite(quad) and math.isfinite(top):
-        return LogValue(integrate((v / top) ** 2, grid), 2.0 * math.log(top))
-    return LogValue.from_float(quad)
+        return safe_log(integrate((v / top) ** 2, grid)) + 2.0 * math.log(top)
+    return safe_log(quad)
 
 
 def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid):
@@ -223,13 +152,14 @@ def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid)
 
 def integrate_spacetime_logweight(
     logw: np.ndarray, values: np.ndarray, grid: SpaceTimeGrid
-) -> LogValue:
-    """Space-time integral of exp(logw) * values over interior time rows.
+) -> float:
+    """Log of the space-time integral of exp(logw) * values over interior
+    time rows (-inf when the integral is zero).
 
     ``logw`` and ``values`` are (nt+1, nx+1) tabulations; ``values`` must be
     nonnegative.  Rows 0 and nt are excluded (the weights are improper
-    there); the result is exact under a constant shift of ``logw``: shifting
-    logw by kappa shifts ``log_scale`` by exactly kappa.
+    there).  The integral is summed after a shift by the largest log term m
+    and returned as log(sum) + m, so it never leaves float64 range.
     """
     logw = np.asarray(logw, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -250,5 +180,5 @@ def integrate_spacetime_logweight(
         total[vv == 0] = -math.inf
     m = float(np.max(total))
     if m == -math.inf:
-        return LogValue.zero()
-    return LogValue(integrate_interior(np.exp(total - m), grid), m)
+        return -math.inf
+    return safe_log(integrate_interior(np.exp(total - m), grid)) + m

@@ -25,14 +25,15 @@ on ``grad_Jn``, stays as the general library path and the cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import NonFiniteTrajectory
-from .grid import (LogValue, SpaceTimeGrid, integrate_interior, integrate_space, l2_norm,
-                   norm_sq, window_mask)
+from .grid import (SpaceTimeGrid, integrate_interior, integrate_space, l2_norm, log_norm_sq,
+                   window_mask)
 from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear, step_eigenbasis
 
 __all__ = [
@@ -104,13 +105,15 @@ class StageWeights:
 
 @dataclass
 class StageDiagnostics:
+    """One penalty stage; the three ``*_log`` fields are natural logs."""
+
     n: float
     cg_iters: int
     converged: bool
-    Jn: LogValue
+    Jn_log: float
     terminal_norm: float
-    ctrl_weighted_norm: LogValue
-    state_weighted_norm: LogValue
+    ctrl_weighted_norm_log: float
+    state_weighted_norm_log: float
     raw_terminal_norm: float = 0.0
     accepted: bool = True
 
@@ -303,13 +306,13 @@ def solve_null_control(
         accepted = raw <= best or h is None
         if accepted:
             h, u, best = h_new, u_new, raw
-        # J_n = (cw + sw)/2: ||h||^2 on the interior rows, n ||u(t_{nt-1})||^2
-        cw = norm_sq(h[1:-1], grid)
-        sw = LogValue.from_float(n) * norm_sq(u[-2], grid, integrate_space)
-        total = sw + cw
+        # J_n = (cw + sw)/2 in logs: ||h||^2 on the interior rows, n ||u(t_{nt-1})||^2
+        cw = log_norm_sq(h[1:-1], grid)
+        sw = math.log(n) + log_norm_sq(u[-2], grid, integrate_space)
+        jn = float(np.logaddexp(cw, sw)) - math.log(2.0)
         stages.append(
-            StageDiagnostics(float(n), 0, True, LogValue(0.5 * total.mantissa, total.log_scale),
-                             best, cw, sw, raw_terminal_norm=raw, accepted=accepted)
+            StageDiagnostics(float(n), 0, True, jn, best, cw, sw,
+                             raw_terminal_norm=raw, accepted=accepted)
         )
         if not accepted:
             break

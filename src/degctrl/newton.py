@@ -17,7 +17,7 @@ import numpy as np
 
 from .coeffs import ProblemData
 from .errors import NewtonDivergence, NonFiniteTrajectory
-from .grid import LogValue, integrate_space, norm_sq
+from .grid import integrate_space, log_norm_sq
 from .hum import LinearControlProblem, PenaltySchedule, solve_null_control, terminal_l2
 from .pde import apply_operator, forward_solve_nonlinear
 
@@ -29,9 +29,12 @@ MAXIT_NEWTON = 25
 
 @dataclass
 class NewtonState:
+    """One outer step; ``residual_log`` and ``step_log`` are the natural logs
+    of ||g_k||^2 and ||g_k - g_{k-1}||^2 (-inf for zero)."""
+
     k: int
-    residual_norm: LogValue
-    step_norm: Optional[LogValue]
+    residual_log: float
+    step_log: Optional[float]
     terminal_norm_linear: float
     terminal_norm_nonlinear: Optional[float] = None
 
@@ -75,18 +78,18 @@ def local_null_control(
     history: List[NewtonState] = []
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     h = g_prev = None
-    prev_step: Optional[LogValue] = None
+    prev_step: Optional[float] = None
     grow = 0
     converged = False
 
     for k in range(maxit):
         g = residual_source(u, pd, prob)
         # residual sources are measured in plain space-time L2 over the interior rows
-        res_norm = norm_sq(g[1:-1], grid)
-        step_norm = None
+        res_log = log_norm_sq(g[1:-1], grid)
+        step_log = None
         if g_prev is not None:
-            step_norm = norm_sq((g - g_prev)[1:-1], grid)
-            grow = grow + 1 if prev_step is not None and prev_step < step_norm else 0
+            step_log = log_norm_sq((g - g_prev)[1:-1], grid)
+            grow = grow + 1 if prev_step is not None and prev_step < step_log else 0
             if grow >= 3:
                 raise NewtonDivergence(
                     f"step norm grew {grow} consecutive iterations "
@@ -97,19 +100,17 @@ def local_null_control(
         history.append(
             NewtonState(
                 k=k,
-                residual_norm=res_norm,
-                step_norm=step_norm,
+                residual_log=res_log,
+                step_log=step_log,
                 terminal_norm_linear=result.terminal_norm,
             )
         )
-        if step_norm is not None:
-            if res_norm.is_zero() or step_norm.ratio(res_norm).log() <= math.log(
-                tol_newton
-            ):
+        if step_log is not None:
+            if res_log == -math.inf or step_log - res_log <= math.log(tol_newton):
                 converged = True
                 break
         g_prev = g
-        prev_step = step_norm
+        prev_step = step_log
 
     u_nl = forward_solve_nonlinear(pd, h, grid, prob.op)
     history[-1].terminal_norm_nonlinear = terminal_l2(u_nl, grid)

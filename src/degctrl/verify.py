@@ -3,12 +3,13 @@ machinery: Hardy-Poincare, the two Carleman estimates, the parabolic energy
 estimate, the E-norm and its companion bounds.
 
 "Verification" here means bounded-ratio witnessing over seeded random
-ensembles; every check reports LHS/RHS as log-safe values and a ratio
-compared against a configured cap (regression data, not a theorem).  The
-random max is not the inequality's constant: the sharp continuous
-Hardy-Poincare constant for a = x^alpha is 4/(1-alpha)^2, unbounded at
-alpha = 1.  ``sup`` and ``bilinear`` report ratio 0.0 at the default config
-(lhs_log - rhs_log is about -1.17e8 and -1.74e8), so they cannot fail there.
+ensembles; every check reports the natural logs of LHS and RHS (plain
+floats, -inf for zero) and a ratio compared against a configured cap
+(regression data, not a theorem).  The random max is not the inequality's
+constant: the sharp continuous Hardy-Poincare constant for a = x^alpha is
+4/(1-alpha)^2, unbounded at alpha = 1.  ``sup`` and ``bilinear`` report
+ratio 0.0 at the default config (lhs_log - rhs_log is about -1.17e8 and
+-1.74e8), so they cannot fail there.
 
 Each witness evaluates its space and time quadratures on whole trajectories:
 one row-block call of apply_operator / h1a_norm_sq and one matrix product
@@ -26,7 +27,7 @@ import numpy as np
 
 from .coeffs import DegeneracyCoefficient
 from .errors import AdmissibilityFail, ConfigError, ZeroDenominator
-from .grid import (LogValue, SpaceTimeGrid, integrate_interior, integrate_spacetime_logweight,
+from .grid import (SpaceTimeGrid, integrate_interior, integrate_spacetime_logweight, safe_log,
                    window_mask)
 from .pde import (
     DegenerateOperator,
@@ -63,18 +64,19 @@ MAX_LOG_HEADROOM = 1e-3
 @dataclass
 class InequalityReport:
     name: str
-    lhs: LogValue
-    rhs: LogValue
+    lhs_log: float
+    rhs_log: float
     ratio: float
     params: dict = field(default_factory=dict)
 
 
-def _ratio(lhs: LogValue, rhs: LogValue) -> float:
-    if lhs.is_zero():
+def _ratio(lhs_log: float, rhs_log: float) -> float:
+    """exp(lhs_log - rhs_log): 0 for a zero LHS, inf for a zero RHS."""
+    if lhs_log == -math.inf:
         return 0.0
-    if rhs.is_zero():
+    if rhs_log == -math.inf:
         return math.inf
-    r = lhs.log() - rhs.log()
+    r = lhs_log - rhs_log
     return math.exp(r) if r < 709.0 else math.inf
 
 
@@ -145,11 +147,11 @@ def hardy_poincare_ratio(
     rhs = float(np.sum(am * dw * dw * dx))
     if rhs <= 0.0:
         raise ZeroDenominator("gradient energy vanishes")
-    L, R = LogValue.from_float(lhs), LogValue.from_float(rhs)
+    L, R = safe_log(lhs), safe_log(rhs)
     return InequalityReport(
         name="hardy_poincare",
-        lhs=L,
-        rhs=R,
+        lhs_log=L,
+        rhs_log=R,
         ratio=_ratio(L, R),
         params={"theta": theta},
     )
@@ -201,15 +203,14 @@ def carleman_check(
     with np.errstate(invalid="ignore"):
         t1 = integrate_spacetime_logweight(logW + logw1 + sl, grad, grid)
         t2 = integrate_spacetime_logweight(logW + 2.0 * logw1 + 2.0 * sl, v * v, grid)
-        lhs = t1 + t2
         r1 = integrate_spacetime_logweight(logW, F * F, grid)
         vo = np.where(window_mask(grid, omega)[None, :], v, 0.0)
         r2 = integrate_spacetime_logweight(logW + 3.0 * logw1 + 3.0 * sl, vo * vo, grid)
-    rhs = r1 + r2
+    lhs, rhs = float(np.logaddexp(t1, t2)), float(np.logaddexp(r1, r2))
     return InequalityReport(
         name=f"carleman_{kind}",
-        lhs=lhs,
-        rhs=rhs,
+        lhs_log=lhs,
+        rhs_log=rhs,
         ratio=_ratio(lhs, rhs),
         params={"s": s, "lambda": lam},
     )
@@ -221,24 +222,24 @@ def e_norm(
     fields: WeightFields,
     grid: SpaceTimeGrid,
     op: DegenerateOperator,
-) -> LogValue:
-    """Squared E-norm: weighted state + control energies, the weighted
-    equation residual (backward-difference u_t matching the solver stencil)
-    and the initial H^1_a energy."""
+) -> float:
+    """Log of the squared E-norm: weighted state + control energies, the
+    weighted equation residual (backward-difference u_t matching the solver
+    stencil) and the initial H^1_a energy."""
     lw0 = 2.0 * fields.log_rho0
     lws = 2.0 * fields.log_rhostar
     term1 = integrate_spacetime_logweight(lw0, u * u, grid)
     if h is not None:
         term2 = integrate_spacetime_logweight(lws, h * h, grid)
     else:
-        term2 = LogValue.zero()
+        term2 = -math.inf
     res = np.zeros_like(u)
     res[1:] = np.diff(u, axis=0) / grid.dt - apply_operator(op, u[1:])
     if h is not None:
         res[1:] -= h[1:]
     term3 = integrate_spacetime_logweight(lw0, res * res, grid)
-    term4 = LogValue.from_float(h1a_norm_sq(u[0], op, grid))
-    return term1 + term2 + term3 + term4
+    term4 = safe_log(h1a_norm_sq(u[0], op, grid))
+    return float(np.logaddexp.reduce([term1, term2, term3, term4]))
 
 
 def nonlocal_sup_bound(
@@ -261,13 +262,13 @@ def nonlocal_sup_bound(
     scale = -2.0 * M / fields.m[inner]
     with np.errstate(divide="ignore"):
         j = int(np.argmax(np.log(iu2) + scale))  # the first row at the max
-    best = LogValue(float(iu2[j]), float(scale[j]))
+    best = safe_log(float(iu2[j])) + float(scale[j])
     witness = float(np.max(scale - 2.0 * np.min(fields.log_rhostar[inner], axis=1)))
     rhs = e_norm(u, h, fields, grid, op)
     return InequalityReport(
         name="nonlocal_sup_bound",
-        lhs=best,
-        rhs=rhs,
+        lhs_log=best,
+        rhs_log=rhs,
         ratio=_ratio(best, rhs),
         params={"M": M, "claim_witness": witness},
     )
@@ -289,18 +290,14 @@ def bilinear_bound_check(
     vals = np.zeros_like(u)
     vals[inner] = (iu * iu)[:, None] * Lu * Lu
     lhs = integrate_spacetime_logweight(2.0 * fields.log_rho0, vals, grid)
-    rhs = e_norm(u, h, fields, grid, op) * e_norm(ub, hb, fields, grid, op)
-    if rhs.is_zero():
-        if not lhs.is_zero():
-            raise ZeroDenominator("zero E-norms with nonzero bilinear term")
-        ratio = 0.0
-    else:
-        ratio = _ratio(lhs, rhs)
+    rhs = e_norm(u, h, fields, grid, op) + e_norm(ub, hb, fields, grid, op)
+    if rhs == -math.inf and lhs != -math.inf:
+        raise ZeroDenominator("zero E-norms with nonzero bilinear term")
     return InequalityReport(
         name="bilinear_bound",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
+        lhs_log=lhs,
+        rhs_log=rhs,
+        ratio=_ratio(lhs, rhs),
     )
 
 
@@ -323,9 +320,9 @@ def energy_estimate_ratio(
         rhs += integrate_interior(F[inner] * F[inner], grid)
     if rhs <= 0.0:
         raise ZeroDenominator("zero data in energy estimate")
-    L, R = LogValue.from_float(lhs), LogValue.from_float(rhs)
+    L, R = safe_log(lhs), safe_log(rhs)
     return InequalityReport(
-        name="energy_estimate", lhs=L, rhs=R, ratio=_ratio(L, R)
+        name="energy_estimate", lhs_log=L, rhs_log=R, ratio=_ratio(L, R)
     )
 
 
@@ -359,7 +356,7 @@ def _carleman(kind: str, cfg, op, fields, rng) -> InequalityReport:
     rep = carleman_check(kind, F, terminal, cfg.c, fields(), cfg.grid, op, cfg.problem.omega)
     # float64 holds a log L only to |L| eps, and the dominant terms of each
     # integral have exponents about as large as its log; exact zeros are exact
-    logs = np.array([rep.lhs.log(), rep.rhs.log()])
+    logs = np.array([rep.lhs_log, rep.rhs_log])
     top = np.abs(logs[logs != -np.inf]).max(initial=0.0)
     if not top * np.finfo(float).eps <= MAX_LOG_HEADROOM:  # NaN too
         raise ConfigError(
@@ -422,7 +419,8 @@ def run_verifications(cfg, build_fields):
         for i in range(cfg.verify_ensemble):
             rep = _WITNESSES[check](cfg, op, fields, np.random.default_rng([seed, k, i]))
             cap = caps.get(rep.name)
-            lhs, rhs = rep.lhs.log(), rep.rhs.log()
             passed = cap is None or rep.ratio <= cap
-            rows.append((rep.name, cfg.s, cfg.lam, i, seed, lhs, rhs, rep.ratio, passed))
+            rows.append(
+                (rep.name, cfg.s, cfg.lam, i, seed, rep.lhs_log, rep.rhs_log, rep.ratio, passed)
+            )
     return rows, all(row[-1] for row in rows)

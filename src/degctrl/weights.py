@@ -234,9 +234,9 @@ def build_weight_fields(
     psi = build_psi(a, params.omega_prime, grid)
     lam, s = params.lam, params.s
 
+    top = math.exp(3.0 * lam * psi.psi_inf)  # first: its OverflowError bounds eta
     log_eta = lam * (psi.psi_inf + psi.psi_nodes)
     eta = np.exp(log_eta)
-    top = math.exp(3.0 * lam * psi.psi_inf)
     beta = eta - top  # < 0 since eta <= exp(2 lam |psi|_inf) < top
     beta_bar = float(np.max(beta))
     if not math.isfinite(s * beta_bar):
@@ -253,20 +253,24 @@ def build_weight_fields(
     with np.errstate(divide="ignore"):
         tau = 1.0 / m
 
-    phi = np.outer(theta, beta)
-    A = np.outer(tau, beta)
+    # an overflow fails the finiteness test below
+    with np.errstate(over="ignore"):
+        phi = np.outer(theta, beta)
+        A = np.outer(tau, beta)
+        lr = -s * A  # +inf on the t = T row
     with np.errstate(divide="ignore"):
         log_sigma = np.log(theta)[:, None] + log_eta[None, :]
         log_varsigma = np.log(tau)[:, None] + log_eta[None, :]
 
-    lr = -s * A  # +inf on the t = T row
     ls = log_varsigma
     log_rho = lr
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         log_rho0 = lr - ls
         log_rhohat = lr - 2.0 * ls
         # derived so that 2*log_rhohat - log_rhostar - log_rho0 vanishes exactly
         log_rhostar = 2.0 * log_rhohat - log_rho0
+    if not all(np.isfinite(w[1:-1]).all() for w in (phi, log_rho0, log_rhohat, log_rhostar)):
+        raise OverflowError("a weight table overflows float64 on an interior time row")
     # the t = T row is improper for the whole family
     log_rho0[-1, :] = np.inf
     log_rhohat[-1, :] = np.inf

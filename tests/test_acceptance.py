@@ -134,7 +134,7 @@ def test_04_gradient_correctness():
             up = forward_solve_linear(prob.c, None, h + eps * d, u0, grid, prob.op)
             um = forward_solve_linear(prob.c, None, h - eps * d, u0, grid, prob.op)
             # difference the functional on the capped-weight scale, where it
-            # is a plain float; the reported LogValue scale overflows doubles
+            # is a plain float; the reported log scale overflows doubles
             jp = _weighted_j(up, h + eps * d, stage, grid)
             jm = _weighted_j(um, h - eps * d, stage, grid)
             fd = (jp - jm) / (2 * eps)
@@ -157,8 +157,8 @@ def test_05_linear_null_control():
         for a, b in zip(norms, norms[1:]):
             assert b <= 1.05 * a, f"stage terminal norms not monotone: {norms}"
         for st in res.stages:
-            assert np.isfinite(st.ctrl_weighted_norm.log())
-            assert np.isfinite(st.state_weighted_norm.log())
+            assert np.isfinite(st.ctrl_weighted_norm_log)
+            assert np.isfinite(st.state_weighted_norm_log)
 
 
 def test_06_nonlinear_local_null_control():
@@ -168,7 +168,7 @@ def test_06_nonlinear_local_null_control():
         pd = make_nonlinear_problem(grid, amplitude=0.1)
         h, u_nl, history, converged = local_null_control(pd, prob, PenaltySchedule())
         assert converged and len(history) <= 8
-        steps = [st.step_norm.log() for st in history if st.step_norm is not None]
+        steps = [st.step_log for st in history if st.step_log is not None]
         for a, b in zip(steps, steps[1:]):
             if b > -600:  # ignore ratios at the machine-zero floor
                 assert b < a, f"no contraction: step logs {steps}"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degctrl import build_grid
-from degctrl.cli import _write_trajectory, main, write_csv
+from degctrl.cli import _write_trajectory, cmd_verify, main, write_csv
 from degctrl.config import parse_config
 from degctrl.errors import ConfigError
 from degctrl.verify import KNOWN_CHECKS
@@ -82,7 +82,6 @@ class TestExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_trajectory_is_solver_error(self, tmp_path, capsys):
         # u0/dt overflows float64 in the first step (nt = 24)
         cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 1e308})
@@ -132,6 +131,26 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, overrides)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "carleman.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # s e^{3 lambda |psi|_inf} is finite, theta or tau times it is not:
+            # overflowed tables would give carleman_phi a vacuous pass (exit 0)
+            {"problem.a.alpha": 0.0625, "verify.checks": ["carleman_phi"]},
+            {"problem.a.alpha": 0.0625, "verify.checks": ["sup"]},
+            # e^{3 lambda |psi|_inf} overflows, and so did e^{lambda(|psi|_inf + psi)}
+            {"problem.a": {"kind": "power_cosine", "alpha": 0.96875}, "carleman.lambda": 825.0,
+             "discretization.nx": 4, "discretization.gamma": 2.5, "verify.checks": ["carleman_phi"]},
+        ],
+        ids=["phi_table", "rho_tables", "eta"],
+    )
+    def test_weight_table_overflow_is_config_error(self, tmp_path, capsys, overrides):
+        base = {"carleman.lambda": 853.0, "discretization.nx": 2, "discretization.nt": 2,
+                "discretization.gamma": 1.0, "verify.ensemble": 1}
+        cfg = write_cfg(tmp_path, {**base, **overrides})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "config error: carleman.lambda: weights overflow" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check", ["carleman_phi", "carleman_A"])
     @pytest.mark.parametrize("lam", [100.0, 500.0])
@@ -185,7 +204,7 @@ class TestExitCodes:
     def test_huge_datum_scales_exactly(self, tmp_path, amplitude):
         # the squares of u0, u and h overflow float64; the exact linear solve
         # scales with the datum, and the reported norms are scaled
-        reductions = []
+        reductions, jn_logs = [], []
         for amp in (1.0, amplitude):
             overrides = {"problem.u0.amplitude": amp,
                          "discretization.nx": 16, "discretization.nt": 16}
@@ -195,7 +214,14 @@ class TestExitCodes:
             stages = (out / "stages.csv").read_text().splitlines()[1:]
             assert all(np.isfinite(float(v)) for row in stages for v in row.split(","))
             reductions.append(json.loads((out / "summary.json").read_text())["reduction"])
+            # log J_n = log(Jn_mantissa) + Jn_logscale
+            jn_logs.append([np.log(float(row.split(",")[2])) + float(row.split(",")[3])
+                            for row in stages])
         assert reductions[1] == pytest.approx(reductions[0], rel=1e-10)
+        # J_n is quadratic in the datum
+        assert len(jn_logs[1]) == len(jn_logs[0])
+        for small, big in zip(*jn_logs):
+            assert big - small == pytest.approx(2.0 * np.log(amplitude), rel=1e-12)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -287,7 +313,7 @@ def _assert_finite_summary(out):
 
 class TestControlExitCodeFuzz:
     # overflow is reported through the exit code, not as a numpy warning
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # (pyproject turns every RuntimeWarning into an error)
     @settings(max_examples=200, deadline=None)
     @given(
         command=st.sampled_from(["null-control", "null-control-nonlinear", "solve-forward"]),
@@ -379,6 +405,17 @@ class TestSeedFlag:
         cfg = write_cfg(tmp_path)
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 0
+        assert _csv_seeds(out / "verification.csv") == {"7"}
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["config"]["verify"]["seed"] == 7
+
+    def test_summary_echoes_seed_set_on_config(self, tmp_path):
+        # a caller that sets cfg.verify_seed alone, not the raw config
+        cfg = parse_config(json.loads(json.dumps(BASE)))
+        cfg.verify_seed = 7
+        out = tmp_path / "v"
+        out.mkdir()
+        assert cmd_verify(cfg, str(out), True) == 0
         assert _csv_seeds(out / "verification.csv") == {"7"}
         doc = json.loads((out / "summary.json").read_text())
         assert doc["config"]["verify"]["seed"] == 7

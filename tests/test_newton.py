@@ -56,7 +56,7 @@ class TestOuterIteration:
         h, u_nl, history, converged = local_null_control(pd, bench32, sched)
         assert converged
         assert len(history) <= 8
-        steps = [st.step_norm.log() for st in history if st.step_norm is not None]
+        steps = [st.step_log for st in history if st.step_log is not None]
         # contraction: successive correction norms decrease while meaningful
         for a, b in zip(steps, steps[1:]):
             if b > -600:
@@ -95,7 +95,7 @@ class TestOuterIteration:
         pd.u0 = u0
         h, u_nl, history, converged = local_null_control(pd, bench64, PenaltySchedule())
         assert converged
-        residual = [st.residual_norm.log() for st in history[1:]]
+        residual = [st.residual_log for st in history[1:]]
         assert residual[-1] > residual[0]
         u0_norm = np.sqrt(integrate_space(u0**2, grid))
         assert history[-1].terminal_norm_nonlinear <= 1e-3 * u0_norm

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from degctrl import (
     AdmissibilityFail,
-    LogValue,
     apply_operator,
     assemble_degenerate_operator,
     bilinear_bound_check,
@@ -30,6 +29,7 @@ from degctrl import verify
 from degctrl.cli import _build_fields, _fmt
 from degctrl.config import load_config, parse_config
 from degctrl.errors import ZeroDenominator
+from degctrl.grid import safe_log
 from degctrl.verify import KNOWN_CHECKS, _ratio, run_verifications
 from tests.conftest import make_fields
 
@@ -81,7 +81,7 @@ class TestCarleman:
                 kind, F, vT, bench32.c, fields32, grid, bench32.op, bench32.omega
             )
             assert np.isfinite(rep.ratio)
-            assert np.isfinite(rep.lhs.log()) and np.isfinite(rep.rhs.log())
+            assert np.isfinite(rep.lhs_log) and np.isfinite(rep.rhs_log)
 
     def test_unknown_kind_rejected(self, bench32, fields32):
         grid = bench32.grid
@@ -99,7 +99,7 @@ class TestENorm:
         u0[0] = u0[-1] = 0.0
         u = forward_solve_linear(bench32.c, None, None, u0, grid, bench32.op)
         en = e_norm(u, None, fields32, grid, bench32.op)
-        assert np.isfinite(en.log())
+        assert np.isfinite(en)
 
     def test_scales_quadratically(self, bench32, fields32):
         grid = bench32.grid
@@ -108,7 +108,7 @@ class TestENorm:
         u = forward_solve_linear(bench32.c, None, None, u0, grid, bench32.op)
         en = e_norm(u, None, fields32, grid, bench32.op)
         en2 = e_norm(2.0 * u, None, fields32, grid, bench32.op)
-        assert en2.log() - en.log() == pytest.approx(np.log(4.0), abs=1e-6)
+        assert en2 - en == pytest.approx(np.log(4.0), abs=1e-6)
 
     def test_sup_bound_finite(self, bench32, fields32):
         grid = bench32.grid
@@ -116,8 +116,8 @@ class TestENorm:
         u0[0] = u0[-1] = 0.0
         u = forward_solve_linear(bench32.c, None, None, u0, grid, bench32.op)
         rep = nonlocal_sup_bound(u, None, fields32, grid, bench32.op)
-        assert np.isfinite(rep.lhs.log())
-        assert rep.lhs.log() <= rep.rhs.log()
+        assert np.isfinite(rep.lhs_log)
+        assert rep.lhs_log <= rep.rhs_log
 
 
 class TestEnergyEstimate:
@@ -188,26 +188,23 @@ def _ref_e_norm(u, h, fields, grid, op):
     if h is not None:
         term2 = integrate_spacetime_logweight(2.0 * fields.log_rhostar, h * h, grid)
     else:
-        term2 = LogValue.zero()
+        term2 = -math.inf
     res = np.zeros_like(u)
     for j in range(1, grid.nt + 1):
         res[j] = (u[j] - u[j - 1]) / grid.dt - apply_operator(op, u[j])
         if h is not None:
             res[j] -= h[j]
     term3 = integrate_spacetime_logweight(lw0, res * res, grid)
-    term4 = LogValue.from_float(h1a_norm_sq(u[0], op, grid))
-    return term1 + term2 + term3 + term4
+    term4 = safe_log(h1a_norm_sq(u[0], op, grid))
+    return float(np.logaddexp.reduce([term1, term2, term3, term4]))
 
 
 def _ref_sup(u, h, fields, grid, op):
     M = fields.M
-    best = LogValue.zero()
-    witness = -math.inf
+    best = witness = -math.inf
     for j in range(1, grid.nt):
         iu = integrate_space(u[j], grid)
-        lv = LogValue(iu * iu, -2.0 * M / fields.m[j])
-        if best.is_zero() or lv.log() > best.log():
-            best = lv
+        best = max(best, safe_log(iu * iu) - 2.0 * M / fields.m[j])
         witness = max(
             witness, -2.0 * M / fields.m[j] - 2.0 * float(np.min(fields.log_rhostar[j]))
         )
@@ -222,8 +219,8 @@ def _ref_bilinear(u, h, ub, hb, fields, grid, op):
         Lu = apply_operator(op, u[j])
         vals[j] = iu * iu * Lu * Lu
     lhs = integrate_spacetime_logweight(2.0 * fields.log_rho0, vals, grid)
-    rhs = _ref_e_norm(u, h, fields, grid, op) * _ref_e_norm(ub, hb, fields, grid, op)
-    return lhs, rhs, 0.0 if rhs.is_zero() else _ratio(lhs, rhs)
+    rhs = _ref_e_norm(u, h, fields, grid, op) + _ref_e_norm(ub, hb, fields, grid, op)
+    return lhs, rhs, 0.0 if rhs == -math.inf else _ratio(lhs, rhs)
 
 
 def _ref_energy(u, F, grid, op):
@@ -238,20 +235,17 @@ def _ref_energy(u, F, grid, op):
     rhs = h1a_norm_sq(u[0], op, grid)
     if F is not None:
         rhs += sum(wt[j - 1] * integrate_space(F[j] * F[j], grid) for j in range(1, grid.nt))
-    L, R = LogValue.from_float(sup_h1a + ut2 + lu2), LogValue.from_float(rhs)
+    L, R = math.log(sup_h1a + ut2 + lu2), math.log(rhs)
     return L, R, _ratio(L, R)
 
 
 REL = 1e-13
 
 
-def _close(got, want):
+def _close(got, want, log):
     """Relative agreement; a difference of logs is a relative difference of
-    the values, so it gets REL as an absolute floor."""
-    if isinstance(got, LogValue):
-        got, want = got.log(), want.log()
-        return got == want or math.isclose(got, want, rel_tol=REL, abs_tol=REL)
-    return got == want or math.isclose(got, want, rel_tol=REL)
+    the values, so a log gets REL as an absolute floor."""
+    return got == want or math.isclose(got, want, rel_tol=REL, abs_tol=REL if log else 0.0)
 
 
 def _witness_pairs(nx, nt, gamma, seed, with_h):
@@ -273,10 +267,10 @@ def _witness_pairs(nx, nt, gamma, seed, with_h):
     en = energy_estimate_ratio(u, F, grid, op)
     return [
         (e_norm(u, h, fields, grid, op), _ref_e_norm(u, h, fields, grid, op)),
-        ((sup.lhs, sup.rhs, sup.ratio, sup.params["claim_witness"]),
+        ((sup.lhs_log, sup.rhs_log, sup.ratio, sup.params["claim_witness"]),
          _ref_sup(u, h, fields, grid, op)),
-        ((bil.lhs, bil.rhs, bil.ratio), _ref_bilinear(u, h, ub, hb, fields, grid, op)),
-        ((en.lhs, en.rhs, en.ratio), _ref_energy(u, F, grid, op)),
+        ((bil.lhs_log, bil.rhs_log, bil.ratio), _ref_bilinear(u, h, ub, hb, fields, grid, op)),
+        ((en.lhs_log, en.rhs_log, en.ratio), _ref_energy(u, F, grid, op)),
     ]
 
 
@@ -284,8 +278,9 @@ def _assert_pairs_close(pairs):
     for got, want in pairs:
         got = got if isinstance(got, tuple) else (got,)
         want = want if isinstance(want, tuple) else (want,)
-        for g, w in zip(got, want, strict=True):
-            assert _close(g, w), (g, w)
+        # each result leads with its logs: the E-norm's, or lhs_log and rhs_log
+        for k, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert _close(g, w, log=k < 2), (g, w)
 
 
 class TestRowBatching:
