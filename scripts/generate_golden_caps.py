@@ -6,6 +6,8 @@ per check, and writes caps = max * 10 (with a small floor for ratios that
 underflow to zero). Run from the repository root:
 
     python3 scripts/generate_golden_caps.py
+
+``golden_caps()`` returns the same document without writing it.
 """
 
 import copy
@@ -15,7 +17,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from degctrl.cli import _build_fields  # noqa: E402
 from degctrl.config import load_config, parse_config  # noqa: E402
 from degctrl.verify import run_verifications  # noqa: E402
 
@@ -24,7 +25,7 @@ FLOOR = 1e-12
 
 
 def collect(cfg):
-    rows, _ = run_verifications(cfg, _build_fields)
+    rows, _ = run_verifications(cfg)
     out = {}
     for row in rows:
         name, ratio = row[0], row[7]
@@ -32,7 +33,8 @@ def collect(cfg):
     return out
 
 
-def main():
+def golden_caps() -> dict:
+    """{"observed_max": ..., "caps": ...} as the shipped file holds them."""
     cfg = load_config(os.path.join(ROOT, "configs", "default.json"))
     maxima = collect(cfg)
     for s in (2.0, 4.0, 8.0):
@@ -41,13 +43,17 @@ def main():
         raw["verify"]["checks"] = ["carleman_phi", "carleman_A"]
         for name, r in collect(parse_config(raw)).items():
             maxima[name] = max(maxima[name], r)
-        print(f"s = {s}: done")
     caps = {name: max(10.0 * r, FLOOR) for name, r in sorted(maxima.items())}
+    return {"observed_max": maxima, "caps": caps}
+
+
+def main():
+    doc = golden_caps()
     path = os.path.join(ROOT, "src", "degctrl", "data", "golden_caps.json")
     with open(path, "w") as fh:
-        json.dump({"observed_max": maxima, "caps": caps}, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps(caps, indent=2))
+    print(json.dumps(doc["caps"], indent=2))
 
 
 if __name__ == "__main__":

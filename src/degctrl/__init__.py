@@ -7,11 +7,9 @@ from .coeffs import (
     NonlocalFactor,
     ProblemData,
     SemilinearTerm,
-    eval_b,
     linearized_potential,
     power_coefficient,
     power_cosine_coefficient,
-    tabulated_coefficient,
     validate_degeneracy,
 )
 from .config import ExperimentConfig, load_config, parse_config

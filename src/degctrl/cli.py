@@ -39,7 +39,6 @@ from .hum import LinearControlProblem, solve_null_control
 from .newton import local_null_control
 from .pde import assemble_degenerate_operator, forward_solve_nonlinear
 from .verify import run_verifications
-from .weights import CarlemanParams, build_weight_fields, default_omega_prime
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -74,21 +73,6 @@ def _write_summary(out: str, cfg: ExperimentConfig, command: str, payload: dict)
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-
-
-def _build_fields(cfg: ExperimentConfig):
-    params = CarlemanParams(
-        s=cfg.s,
-        lam=cfg.lam,
-        omega_prime=default_omega_prime(cfg.problem.omega, cfg.omega_prime_margin),
-    )
-    try:
-        fields = build_weight_fields(params, cfg.problem.a, cfg.grid)
-    except OverflowError as exc:  # e^{3 lambda |psi|_inf} or a weight table beyond float64
-        raise ConfigError("carleman.lambda", f"weights overflow float64 ({exc})") from exc
-    if cfg.M_fraction != 0.5:
-        fields.params.M = cfg.M_fraction * cfg.s * fields.beta_bar
-    return fields
 
 
 def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
@@ -236,7 +220,7 @@ def cmd_null_control_nonlinear(cfg: ExperimentConfig, out: str, quiet: bool) -> 
 
 def cmd_verify(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     t0 = time.perf_counter()
-    rows, all_pass = run_verifications(cfg, _build_fields)
+    rows, all_pass = run_verifications(cfg)
     wall = time.perf_counter() - t0
     # echo the seed the rows carry, also where a caller set cfg.verify_seed alone
     cfg = dataclasses.replace(cfg, raw=_set_path(cfg.raw, "verify.seed", cfg.verify_seed))

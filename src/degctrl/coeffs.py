@@ -19,9 +19,7 @@ __all__ = [
     "ProblemData",
     "power_coefficient",
     "power_cosine_coefficient",
-    "tabulated_coefficient",
     "validate_degeneracy",
-    "eval_b",
     "linearized_potential",
 ]
 
@@ -34,7 +32,7 @@ SAMPLE_RANGE = (-10.0, 10.0)
 class DegeneracyCoefficient:
     """Diffusion coefficient a with a(0) = 0, a > 0 and a' >= 0 on (0, 1]."""
 
-    kind: str  # "power" | "power_cosine" | "tabulated"
+    kind: str  # "power" | "power_cosine"
     a: Callable[[np.ndarray], np.ndarray]
     a_prime: Callable[[np.ndarray], np.ndarray]
     exact_K: Optional[float] = None  # known analytically for "power"
@@ -77,26 +75,6 @@ def power_cosine_coefficient(alpha: float) -> DegeneracyCoefficient:
             ) * np.sin(b * x)
 
     return DegeneracyCoefficient("power_cosine", a, ap)
-
-
-def tabulated_coefficient(x: np.ndarray, values: np.ndarray) -> DegeneracyCoefficient:
-    """Piecewise-linear coefficient from samples; a' one-sided near x = 0
-    (a is only assumed C1 on (0, 1])."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if x.shape != values.shape or x.ndim != 1 or x.size < 3:
-        raise ValueError("need matching 1-d sample arrays with >= 3 points")
-
-    def a(q):
-        return np.interp(np.asarray(q, dtype=float), x, values)
-
-    # second-order one-sided differences at the left edge, centered inside
-    deriv = np.gradient(values, x, edge_order=2)
-
-    def ap(q):
-        return np.interp(np.asarray(q, dtype=float), x, deriv)
-
-    return DegeneracyCoefficient("tabulated", a, ap)
 
 
 def validate_degeneracy(coeff: DegeneracyCoefficient, samples: int = 10_000) -> float:
@@ -218,11 +196,6 @@ class SemilinearTerm:
 
         powers = [(k + 1, c) for k, c in terms]  # c * u^(k+1), and c (k+1) u^k below
         return SemilinearTerm(series(powers), series([(m - 1, c * m) for m, c in powers]))
-
-
-def eval_b(coeff: DegeneracyCoefficient, ell: NonlocalFactor, x, r: float):
-    """Separated-variable diffusion b(x, r) = l(r) * a(x)."""
-    return ell.ell(float(r)) * coeff(x)
 
 
 def linearized_potential(f: SemilinearTerm, grid: SpaceTimeGrid) -> float:

@@ -25,6 +25,7 @@ from .coeffs import (
 from .errors import ConfigError, DegctrlError
 from .grid import SpaceTimeGrid, build_grid
 from .hum import PenaltySchedule
+from .weights import CarlemanParams
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
@@ -127,10 +128,7 @@ class ExperimentConfig:
     grid: SpaceTimeGrid
     problem: ProblemData
     c: float  # linearized potential df/du(t, x, 0)
-    s: float
-    lam: float
-    omega_prime_margin: float
-    M_fraction: float
+    carleman: CarlemanParams
     schedule: PenaltySchedule
     newton_tol: float
     newton_maxit: int
@@ -230,10 +228,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         grid=grid,
         problem=problem,
         c=c,
-        s=s,
-        lam=lam,
-        omega_prime_margin=margin,
-        M_fraction=mfrac,
+        carleman=CarlemanParams(s=s, lam=lam, omega_prime_margin=margin, M_fraction=mfrac),
         schedule=schedule,
         newton_tol=newton_tol,
         newton_maxit=_get(nwt, "maxit", "newton.maxit", int, low=1),

@@ -109,12 +109,10 @@ class StageDiagnostics:
 
     n: float
     cg_iters: int
-    converged: bool
     Jn_log: float
     terminal_norm: float
     ctrl_weighted_norm_log: float
     state_weighted_norm_log: float
-    raw_terminal_norm: float = 0.0
     accepted: bool = True
 
 
@@ -285,7 +283,7 @@ def solve_null_control(
     when its terminal norm does not exceed the best one so far.  The
     continuation stops after the first rejected stage, whose row ends
     ``stages``; the returned control is the last accepted one.  Every row
-    has cg_iters = 0 and converged = True.
+    has cg_iters = 0.
     """
     grid = prob.grid
     gram = _gramian(prob)
@@ -311,8 +309,7 @@ def solve_null_control(
         sw = math.log(n) + log_norm_sq(u[-2], grid, integrate_space)
         jn = float(np.logaddexp(cw, sw)) - math.log(2.0)
         stages.append(
-            StageDiagnostics(float(n), 0, True, jn, best, cw, sw,
-                             raw_terminal_norm=raw, accepted=accepted)
+            StageDiagnostics(float(n), 0, jn, best, cw, sw, accepted=accepted)
         )
         if not accepted:
             break

@@ -13,7 +13,9 @@ ratio 0.0 at the default config (lhs_log - rhs_log is about -1.17e8 and
 
 Each witness evaluates its space and time quadratures on whole trajectories:
 one row-block call of apply_operator / h1a_norm_sq and one matrix product
-per integral, no loop over time rows.
+per integral, no loop over time rows.  ``run_verifications`` builds the
+weight fields from ``cfg.carleman`` on first use and reports their overflow
+as a config error naming ``carleman.lambda``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .pde import (
     forward_solve_linear,
     h1a_norm_sq,
 )
-from .weights import WeightFields
+from .weights import WeightFields, build_weight_fields
 
 __all__ = [
     "InequalityReport",
@@ -338,8 +340,7 @@ def load_golden_caps() -> dict:
 
     path = importlib.resources.files("degctrl").joinpath("data/golden_caps.json")
     with path.open() as fh:
-        doc = json.load(fh)
-    return doc.get("caps", doc)
+        return json.load(fh)["caps"]
 
 
 def _free_state(cfg, op: DegenerateOperator, u0: np.ndarray) -> np.ndarray:
@@ -400,11 +401,10 @@ _WITNESSES = {
 KNOWN_CHECKS = tuple(_WITNESSES)
 
 
-def run_verifications(cfg, build_fields):
+def run_verifications(cfg):
     """Drive the configured check ensemble; returns (rows, all_pass).
 
-    ``cfg`` is an ExperimentConfig; ``build_fields`` maps it to WeightFields
-    (kept as a callable to avoid a config-module dependency here). Each row
+    The weight fields are built from ``cfg.carleman`` on first use.  Each row
     is (check_name, s, lambda, n, seed, lhs_log, rhs_log, ratio, pass) with
     n the ensemble member index; a ratio is checked against the golden cap
     of its report's name.
@@ -412,7 +412,15 @@ def run_verifications(cfg, build_fields):
     caps = load_golden_caps()
     op = assemble_degenerate_operator(cfg.problem.a, cfg.grid)
     seed = cfg.verify_seed
-    fields = functools.cache(lambda: build_fields(cfg))
+    car = cfg.carleman
+
+    @functools.cache
+    def fields() -> WeightFields:
+        try:
+            return build_weight_fields(car, cfg.problem.a, cfg.problem.omega, cfg.grid)
+        except OverflowError as exc:  # e^{3 lambda |psi|_inf} or a table beyond float64
+            raise ConfigError("carleman.lambda", f"weights overflow float64 ({exc})") from exc
+
     rows = []
     for check in cfg.verify_checks:
         k = KNOWN_CHECKS.index(check) + 1
@@ -421,6 +429,6 @@ def run_verifications(cfg, build_fields):
             cap = caps.get(rep.name)
             passed = cap is None or rep.ratio <= cap
             rows.append(
-                (rep.name, cfg.s, cfg.lam, i, seed, rep.lhs_log, rep.rhs_log, rep.ratio, passed)
+                (rep.name, car.s, car.lam, i, seed, rep.lhs_log, rep.rhs_log, rep.ratio, passed)
             )
     return rows, all(row[-1] for row in rows)

@@ -1,5 +1,8 @@
 """Carleman weight functions, in log space.
 
+``build_weight_fields`` derives the observation window omega' and the
+constant M from ``CarlemanParams``, the ``carleman`` config block.
+
 All exponential weights are tabulated by their logarithms: the factor
 exp(-s*A) reaches exp(1e8) on desk-scale grids, so the log tabulation is the
 only representation that survives float64.  Per-(t,x) arrays cover the
@@ -10,8 +13,7 @@ interior time rows; the t = T row is filled with the limiting values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,12 +42,12 @@ def default_omega_prime(omega, margin: float = 0.25):
     return (xl + margin * w, xr - margin * w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CarlemanParams:
     s: float = 1.0
     lam: float = 2.0
-    omega_prime: Optional[tuple] = None
-    M: Optional[float] = None  # filled from s * beta_bar / 2 at build time
+    omega_prime_margin: float = 0.25
+    M_fraction: float = 0.5
 
     def __post_init__(self):
         if self.s <= 0 or self.lam <= 0:
@@ -117,14 +119,11 @@ def build_psi(
 
     acc = 0.0
     prev = bp
-    right_vals = {}
     for i in right_idx:
         val, _ = quad(iy, prev, x[i], limit=200, epsabs=0.0, epsrel=1e-12)
         acc -= val
         prev = x[i]
-        right_vals[i] = acc
-    for i in right_idx:
-        psi[i] = right_vals[i]
+        psi[i] = acc
         psi_p[i] = -iy(x[i])
 
     # quintic Hermite blend on [a', b'] in the scaled variable u = (x-a')/L
@@ -132,15 +131,10 @@ def build_psi(
     d_ap, d_bp = iy(ap), -iy(bp)
     c_ap, c_bp = curvature(ap, +1.0), curvature(bp, -1.0)
     rhs = np.array([v_ap, d_ap * L, c_ap * L**2, 0.0, d_bp * L, c_bp * L**2])
-    M = np.zeros((6, 6))
-    for k in range(6):
-        M[0, k] = 1.0 if k == 0 else 0.0
-        M[1, k] = 1.0 if k == 1 else 0.0
-        M[2, k] = 2.0 if k == 2 else 0.0
-        M[3, k] = 1.0
-        M[4, k] = k
-        M[5, k] = k * (k - 1)
-    coeffs = np.linalg.solve(M, rhs)
+    # rows: value, slope and curvature at u = 0, then the same at u = 1
+    H = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0],
+                  [1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5], [0, 0, 2, 6, 12, 20]], dtype=float)
+    coeffs = np.linalg.solve(H, rhs)
 
     mid_idx = np.nonzero((x >= ap) & (x <= bp))[0]
     u = (x[mid_idx] - ap) / L
@@ -152,7 +146,7 @@ def build_psi(
     # blend needs dense sampling
     uu = np.linspace(0.0, 1.0, 2001)
     blend_max = float(np.max(np.abs(np.polyval(coeffs[::-1], uu))))
-    psi_1 = right_vals[right_idx[-1]] if len(right_idx) else 0.0
+    psi_1 = float(psi[right_idx[-1]]) if len(right_idx) else 0.0
     psi_inf = max(abs(v_ap), abs(psi_1), blend_max)
 
     return PsiFunction(
@@ -189,7 +183,9 @@ class TruncatedFields:
 
 @dataclass
 class WeightFields:
-    params: CarlemanParams
+    s: float
+    lam: float
+    M: float
     psi: PsiFunction
     # per-node
     eta: np.ndarray
@@ -197,41 +193,25 @@ class WeightFields:
     beta: np.ndarray
     beta_bar: float
     # per-time
-    theta: np.ndarray
     m: np.ndarray
-    tau: np.ndarray
     # per-(t, x)
     phi: np.ndarray
     A: np.ndarray
     log_sigma: np.ndarray
     log_varsigma: np.ndarray
-    log_rho: np.ndarray
     log_rho0: np.ndarray
     log_rhohat: np.ndarray
     log_rhostar: np.ndarray
-    trunc: Optional[TruncatedFields] = None
-
-    @property
-    def s(self) -> float:
-        return self.params.s
-
-    @property
-    def lam(self) -> float:
-        return self.params.lam
-
-    @property
-    def M(self) -> float:
-        return self.params.M
 
 
 def build_weight_fields(
-    params: CarlemanParams, a: DegeneracyCoefficient, grid: SpaceTimeGrid
+    params: CarlemanParams, a: DegeneracyCoefficient, omega, grid: SpaceTimeGrid
 ) -> WeightFields:
-    """Tabulate every weight of the Carleman machinery on the grid."""
+    """Tabulate every weight of the Carleman machinery on the grid, with
+    omega' = default_omega_prime(omega, params.omega_prime_margin) and
+    M = params.M_fraction * s * beta_bar."""
     T = grid.T
-    if params.omega_prime is None:
-        raise ValueError("params.omega_prime must be set (see default_omega_prime)")
-    psi = build_psi(a, params.omega_prime, grid)
+    psi = build_psi(a, default_omega_prime(omega, params.omega_prime_margin), grid)
     lam, s = params.lam, params.s
 
     top = math.exp(3.0 * lam * psi.psi_inf)  # first: its OverflowError bounds eta
@@ -241,10 +221,9 @@ def build_weight_fields(
     beta_bar = float(np.max(beta))
     if not math.isfinite(s * beta_bar):
         raise OverflowError("s * e^{3 lambda |psi|_inf} overflows float64")
-    if params.M is None:
-        params.M = s * beta_bar / 2.0
-    if not (s * beta_bar < params.M < 0.0):
-        raise ValueError("M must lie in (s * beta_bar, 0)")
+    M = params.M_fraction * s * beta_bar
+    if not (s * beta_bar < M < 0.0):
+        raise ValueError("M_fraction must lie in (0, 1)")
 
     t = grid.t
     with np.errstate(divide="ignore"):
@@ -257,16 +236,14 @@ def build_weight_fields(
     with np.errstate(over="ignore"):
         phi = np.outer(theta, beta)
         A = np.outer(tau, beta)
-        lr = -s * A  # +inf on the t = T row
+        lr = -s * A  # log rho, +inf on the t = T row
     with np.errstate(divide="ignore"):
         log_sigma = np.log(theta)[:, None] + log_eta[None, :]
         log_varsigma = np.log(tau)[:, None] + log_eta[None, :]
 
-    ls = log_varsigma
-    log_rho = lr
     with np.errstate(over="ignore", invalid="ignore"):
-        log_rho0 = lr - ls
-        log_rhohat = lr - 2.0 * ls
+        log_rho0 = lr - log_varsigma
+        log_rhohat = lr - 2.0 * log_varsigma
         # derived so that 2*log_rhohat - log_rhostar - log_rho0 vanishes exactly
         log_rhostar = 2.0 * log_rhohat - log_rho0
     if not all(np.isfinite(w[1:-1]).all() for w in (phi, log_rho0, log_rhohat, log_rhostar)):
@@ -277,32 +254,29 @@ def build_weight_fields(
     log_rhostar[-1, :] = np.inf
 
     return WeightFields(
-        params=params,
+        s=s,
+        lam=lam,
+        M=M,
         psi=psi,
         eta=eta,
         log_eta=log_eta,
         beta=beta,
         beta_bar=beta_bar,
-        theta=theta,
         m=m,
-        tau=tau,
         phi=phi,
         A=A,
         log_sigma=log_sigma,
         log_varsigma=log_varsigma,
-        log_rho=log_rho,
         log_rho0=log_rho0,
         log_rhohat=log_rhohat,
         log_rhostar=log_rhostar,
-        trunc=None,
     )
 
 
 def build_truncated_fields(
     fields: WeightFields, n: float, omega, grid: SpaceTimeGrid
-) -> WeightFields:
-    """Fill the n-truncated layer; returns a new WeightFields sharing the
-    exact tabulations.
+) -> TruncatedFields:
+    """The n-truncated layer of the exact tabulations in ``fields``.
 
     The truncation factor (T-t)^4 / ((T-t)^4 + 1/n) is applied pointwise; at
     t = T the truncated exponent is taken as 0 (so rho_n = 1 there) and the
@@ -327,7 +301,7 @@ def build_truncated_fields(
     mask = window_mask(grid, omega)
     log_rhostar_n = fields.log_rhostar + np.where(mask, 0.0, math.log(n))[None, :]
 
-    trunc = TruncatedFields(
+    return TruncatedFields(
         n=float(n),
         A_n=A_n,
         log_varsigma_n=log_varsigma_n,
@@ -336,4 +310,3 @@ def build_truncated_fields(
         log_rhostar_n=log_rhostar_n,
         omega_mask=mask,
     )
-    return WeightFields(**{**fields.__dict__, "trunc": trunc})

@@ -10,7 +10,6 @@ from degctrl import (
     assemble_degenerate_operator,
     build_grid,
     build_weight_fields,
-    default_omega_prime,
     power_coefficient,
 )
 
@@ -18,8 +17,7 @@ OMEGA = (0.3, 0.8)
 
 
 def make_fields(a, grid, s=1.0, lam=2.0, omega=OMEGA):
-    params = CarlemanParams(s=s, lam=lam, omega_prime=default_omega_prime(omega))
-    return build_weight_fields(params, a, grid)
+    return build_weight_fields(CarlemanParams(s=s, lam=lam), a, omega, grid)
 
 
 def make_control_problem(nx=64, nt=64):

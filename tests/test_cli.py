@@ -46,7 +46,7 @@ def write_cfg(tmp_path, overrides=None, name="cfg.json"):
 class TestConfigParsing:
     def test_defaults_fill_missing_blocks(self):
         cfg = parse_config(json.loads(json.dumps(BASE)))
-        assert cfg.s == 1.0 and cfg.lam == 2.0
+        assert cfg.carleman.s == 1.0 and cfg.carleman.lam == 2.0
         assert cfg.schedule.ns[0] == 1.0
 
     def test_missing_problem_block(self):

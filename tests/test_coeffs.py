@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from degctrl import (
+    DegeneracyCoefficient,
     NonlocalFactor,
     NotVanishing,
     ProblemData,
     SemilinearTerm,
     WeakDegeneracyViolated,
     build_grid,
-    eval_b,
     linearized_potential,
     power_coefficient,
     power_cosine_coefficient,
-    tabulated_coefficient,
     validate_degeneracy,
 )
 from degctrl.errors import NonMonotone
@@ -34,15 +33,14 @@ class TestDegeneracyValidation:
         validate_degeneracy(power_cosine_coefficient(0.5))
 
     def test_not_vanishing_rejected(self):
-        x = np.linspace(0.0, 1.0, 11)
+        a = DegeneracyCoefficient("shifted", lambda x: 0.5 + x, lambda x: np.ones_like(x))
         with pytest.raises(NotVanishing):
-            validate_degeneracy(tabulated_coefficient(x, 0.5 + x))
+            validate_degeneracy(a)
 
     def test_nonmonotone_rejected(self):
-        x = np.linspace(0.0, 1.0, 101)
-        vals = x * (1.2 - x)
+        a = DegeneracyCoefficient("hump", lambda x: x * (1.2 - x), lambda x: 1.2 - 2.0 * x)
         with pytest.raises(NonMonotone):
-            validate_degeneracy(tabulated_coefficient(x, vals))
+            validate_degeneracy(a)
 
 
 class TestNonlocalAndSemilinear:
@@ -50,12 +48,6 @@ class TestNonlocalAndSemilinear:
         ell = NonlocalFactor.affine(0.5)
         assert ell.ell(0.0) == 1.0
         assert ell.ell(2.0) == pytest.approx(2.0)
-
-    def test_eval_b_separates(self):
-        a = power_coefficient(0.5)
-        ell = NonlocalFactor.affine(0.5)
-        x = np.array([0.25, 1.0])
-        np.testing.assert_allclose(eval_b(a, ell, x, 2.0), 2.0 * np.sqrt(x))
 
     def test_semilinear_vanishes_at_zero(self):
         x = np.linspace(0, 1, 5)

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from degctrl import (
+    DegeneracyCoefficient,
     NonlocalFactor,
     ProblemData,
     SemilinearTerm,
@@ -17,7 +18,6 @@ from degctrl import (
     forward_solve_nonlinear,
     integrate_space,
     power_coefficient,
-    tabulated_coefficient,
 )
 from degctrl import pde
 from degctrl.errors import PicardDivergence
@@ -27,10 +27,11 @@ from tests.conftest import make_control_problem, make_nonlinear_problem
 
 
 def uniform_coefficient():
-    x = np.linspace(0.0, 1.0, 3)
-    # a = x is not admissible here, but a tabulated a == const is fine for
-    # stencil checks where we bypass degeneracy validation entirely
-    return tabulated_coefficient(x, np.ones_like(x))
+    # a == 1 does not vanish at 0, which is fine for stencil checks where we
+    # bypass degeneracy validation entirely
+    return DegeneracyCoefficient(
+        "uniform", lambda x: np.full(np.shape(x), 1.0), lambda x: np.zeros(np.shape(x))
+    )
 
 
 class TestOperator:

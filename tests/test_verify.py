@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import math
 import os
 
@@ -7,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from degctrl import (
     AdmissibilityFail,
+    CarlemanParams,
     apply_operator,
     assemble_degenerate_operator,
     bilinear_bound_check,
     build_grid,
+    build_weight_fields,
     carleman_check,
     e_norm,
     energy_estimate_ratio,
@@ -26,14 +30,15 @@ from degctrl import (
     random_smooth_field,
 )
 from degctrl import verify
-from degctrl.cli import _build_fields, _fmt
+from degctrl.cli import _fmt
 from degctrl.config import load_config, parse_config
 from degctrl.errors import ZeroDenominator
 from degctrl.grid import safe_log
 from degctrl.verify import KNOWN_CHECKS, _ratio, run_verifications
 from tests.conftest import make_fields
 
-DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DEFAULT_CONFIG = os.path.join(ROOT, "configs", "default.json")
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +139,14 @@ class TestEnergyEstimate:
         assert 0.0 < rep.ratio < 100.0
 
 
-def _run(checks):
+def _run(checks, carleman=None):
     raw = {
         "problem": {"a": {"kind": "power", "alpha": 0.5}},
         "discretization": {"nx": 12, "nt": 12},
+        "carleman": carleman or {},
         "verify": {"checks": list(checks), "seed": 5, "ensemble": 2},
     }
-    rows, _ = run_verifications(parse_config(raw), _build_fields)
+    rows, _ = run_verifications(parse_config(raw))
     return rows
 
 
@@ -157,6 +163,21 @@ class TestGoldenCaps:
         assert len(names) == len(KNOWN_CHECKS)
         for name in names:
             assert name in caps and caps[name] > 0
+
+    def test_shipped_caps_reproduce(self):
+        # the shipped maxima drift from a regeneration by rounding only
+        # (carleman_A_weights by about 3e-13 relative), so no exact equality
+        path = os.path.join(ROOT, "scripts", "generate_golden_caps.py")
+        spec = importlib.util.spec_from_file_location("generate_golden_caps", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        with open(os.path.join(ROOT, "src", "degctrl", "data", "golden_caps.json")) as fh:
+            shipped = json.load(fh)
+        regenerated = script.golden_caps()["observed_max"]
+        assert regenerated.keys() == shipped["observed_max"].keys()
+        for name, observed in shipped["observed_max"].items():
+            assert regenerated[name] == pytest.approx(observed, rel=1e-9, abs=0.0), name
+            assert shipped["caps"][name] == max(10.0 * observed, script.FLOOR), name
 
 
 class TestRunVerifications:
@@ -176,6 +197,29 @@ class TestRunVerifications:
         assert len(sub) == len(subset)
         for name, got in sub.items():
             assert got == full[name]
+
+
+class TestMFraction:
+    """carleman.M_fraction sets M = M_fraction * s * beta_bar, which only the
+    sup witness reads."""
+
+    def test_fraction_sets_M(self, bench32):
+        a = power_coefficient(0.5)
+        params = CarlemanParams(s=2.0, M_fraction=0.25)
+        fields = build_weight_fields(params, a, bench32.omega, bench32.grid)
+        assert fields.M == 0.25 * 2.0 * fields.beta_bar
+
+    def test_default_fraction_is_half(self, fields32):
+        assert fields32.M == fields32.s * fields32.beta_bar / 2.0
+
+    def test_only_sup_rows_change(self, full_run):
+        rows = _run(KNOWN_CHECKS, {"M_fraction": 0.25})
+        assert len(rows) == len(full_run)
+        for got, want in zip(rows, full_run):
+            if got[0] != "nonlocal_sup_bound":
+                assert got == want
+            else:  # the lhs weight e^{-2M/m} moves, the E-norm does not
+                assert got[5] != want[5] and got[6] == want[6]
 
 
 # Per-row references: the witnesses as they were written before the row
@@ -336,7 +380,7 @@ class TestDefaultConfigCounts:
         for name in names:
             fn = getattr(verify, name, None)
             monkeypatch.setattr(verify, name, counted(name, fn), raising=False)
-        rows, _ = run_verifications(cfg, _build_fields)
+        rows, _ = run_verifications(cfg)
         assert len(rows) == 120
         assert counts == {
             "forward_solve_linear": 80,

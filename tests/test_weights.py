@@ -101,24 +101,23 @@ class TestWeightFields:
 
 class TestTruncation:
     def test_truncated_exponent_zero_at_T(self, grid, fields):
-        wf = build_truncated_fields(fields, 100.0, OMEGA, grid)
-        tr = wf.trunc
+        tr = build_truncated_fields(fields, 100.0, OMEGA, grid)
         np.testing.assert_array_equal(tr.A_n[-1], 0.0)
         assert np.all(np.isfinite(tr.log_rho0_n))
 
     def test_truncation_increases_with_n(self, grid, fields):
         # larger n means weaker truncation: A_n closer to A, so more negative
-        t1 = build_truncated_fields(fields, 10.0, OMEGA, grid).trunc
-        t2 = build_truncated_fields(fields, 1000.0, OMEGA, grid).trunc
+        t1 = build_truncated_fields(fields, 10.0, OMEGA, grid)
+        t2 = build_truncated_fields(fields, 1000.0, OMEGA, grid)
         interior = slice(1, grid.nt)
         assert np.all(t2.A_n[interior] <= t1.A_n[interior] + 1e-12)
 
     def test_varsigma_terminal_limit(self, grid, fields):
         n = 50.0
-        tr = build_truncated_fields(fields, n, OMEGA, grid).trunc
+        tr = build_truncated_fields(fields, n, OMEGA, grid)
         want = np.log(n) + fields.log_eta - 4.0 * np.log(grid.T)
         np.testing.assert_allclose(tr.log_varsigma_n[-1], want, rtol=1e-12)
 
     def test_omega_mask(self, grid, fields):
-        tr = build_truncated_fields(fields, 10.0, OMEGA, grid).trunc
+        tr = build_truncated_fields(fields, 10.0, OMEGA, grid)
         assert np.array_equal(tr.omega_mask, (grid.x >= 0.3) & (grid.x <= 0.8))
