@@ -11,11 +11,15 @@ Compares the CSVs that ``scripts/output_hashes.py --keep DIR`` leaves under
 - every difference in header or row count, and every CSV that only one
   tree has.
 
+The exit code is 0.  With ``--max-rel X`` it is 1 when some column's
+relative difference exceeds X, or when the report has any line of the last
+two kinds.
+
 Two checkouts, one command each, then the report:
 
     python3 scripts/output_hashes.py --seeds 0 5 --keep /tmp/parent  # parent
     python3 scripts/output_hashes.py --seeds 0 5 --keep /tmp/change  # change
-    python3 scripts/output_drift.py /tmp/parent /tmp/change
+    python3 scripts/output_drift.py /tmp/parent /tmp/change --max-rel 1e-10
 """
 
 from __future__ import annotations
@@ -78,6 +82,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="tree kept from the parent checkout")
     ap.add_argument("change", help="tree kept from the changed checkout")
+    ap.add_argument(
+        "--max-rel",
+        type=float,
+        metavar="X",
+        help="exit 1 on a relative difference above X or on any structural difference",
+    )
     args = ap.parse_args(argv)
     in_parent, in_change = csv_files(args.parent), csv_files(args.change)
     stats: dict = {}
@@ -90,7 +100,9 @@ def main(argv=None) -> int:
         print(f"{workload:<20} {name:<18} {col:<32} {max_abs:>10.3g} {max_rel:>10.3g}")
     for note in notes:
         print(note)
-    return 0
+    if args.max_rel is None:
+        return 0
+    return int(bool(notes) or any(rel > args.max_rel for _, rel in stats.values()))
 
 
 if __name__ == "__main__":

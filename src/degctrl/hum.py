@@ -5,9 +5,7 @@ over controls h in the window omega on the interior time rows, u slaved to h
 by the forward solver (Boyer, ESAIM Proc. 2013).  The penalty sits on row
 m = nt-1, the last controlled row, so ``build_stage``'s weights (W* = 1 on the
 interior rows, W0 = n/wt_m on row m) give J_n exactly through
-``grid.integrate_interior`` and ``grad_Jn``; ``solve_null_control`` reads
-the two terms directly, ||h||^2 by that quadrature and n ||u(t_m)||^2 from
-row m.
+``grid.integrate_interior`` and ``grad_Jn``.
 
 Each stage is solved exactly through the modal Gramian.  With the step
 matrix's eigenbasis D^{1/2} M D^{-1/2} = Q diag(mu) Q^T (D the dual widths),
@@ -17,7 +15,11 @@ B_jk = beta_k^{m-j+1}, stage n solves
     (I/n + G) q = z,   G = (Q^T P Q) o K = V diag(g) V^T  (o: Hadamard),
 
 z = Q^T D^{1/2} u_free(t_m) being the uncontrolled row m (datum and source
-included), and h_j = -(dt/wt_j) P D^{-1/2} Q (beta^{m-j+1} o q).  G is built
+included), and h_j = -(dt/wt_j) P D^{-1/2} Q (beta^{m-j+1} o q).  With
+y = V^T q, a stage's norms need neither h nor u: ||h||^2 = sum g y^2,
+u(t_m) = V y/n, and row nt is one modal step on from row m, u_free(t_nt)
+less beta o V (g o y) in D^{1/2} Q coordinates.  So ``solve_null_control``
+builds h and solves for u only once, for the stage it returns.  G is built
 and diagonalized once per problem, on the eigenbasis the modal step kernel
 caches, and serves every stage and every Newton step.  ``minimize_Jn``, PCG
 on ``grad_Jn``, stays as the general library path and the cross-check.
@@ -32,8 +34,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import NonFiniteTrajectory
-from .grid import (SpaceTimeGrid, integrate_interior, integrate_space, l2_norm, log_norm_sq,
-                   window_mask)
+from .grid import SpaceTimeGrid, integrate_interior, l2_norm, log_norm_sq, window_mask
 from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear, step_eigenbasis
 
 __all__ = [
@@ -68,6 +69,7 @@ class _Gramian:
     """The stage-independent factors of the closed-form stage solve."""
 
     to_eig: np.ndarray  # D^{1/2} Q V: an interior row u maps to V^T Q^T D^{1/2} u
+    decay: np.ndarray  # beta, the per-mode step multiplier
     vecs: np.ndarray  # V
     g: np.ndarray  # eigenvalues of G, rounding below 0 clipped (G is PSD)
     powers: np.ndarray  # -(dt/wt_j) beta^{m-j+1}, one row per interior time row
@@ -261,12 +263,31 @@ def _gramian(prob: LinearControlProblem) -> _Gramian:
     g, vecs = np.linalg.eigh((q[window].T @ q[window]) * K)
     prob.gramian = _Gramian(
         to_eig=(root[:, None] * q) @ vecs,
+        decay=basis.decay,
         vecs=vecs,
         g=np.maximum(g, 0.0),
         powers=-(grid.dt / wt)[:, None] * B,
         to_ctrl=q.T * (window / root),
     )
     return prob.gramian
+
+
+def _stage_norms(gram: _Gramian, z: np.ndarray, w_free: np.ndarray, n: float):
+    """Stage n in closed form: y = z/(1/n + g), ||u(T)|| from row nt's modal
+    coordinates w_free - beta o V (g o y), log ||h||^2 = log sum g y^2 and
+    log ||u(t_m)||^2 = log ||y/n||^2, each sum scaled by its max as in
+    ``grid.log_norm_sq``.  Raises NonFiniteTrajectory for a non-finite norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = z / (1.0 / n + gram.g)
+        w = w_free - gram.decay * (gram.vecs @ (gram.g * y))
+        logs = [log_norm_sq(v, None, _sum) for v in (w, np.sqrt(gram.g) * y, y / n)]
+    if not all(v < math.inf for v in logs):  # also catches NaN
+        raise NonFiniteTrajectory(f"non-finite norms of penalty stage n={n:g}")
+    return y, math.exp(0.5 * logs[0]), logs[1], logs[2]
+
+
+def _sum(sq: np.ndarray, _grid) -> float:
+    return float(np.sum(sq))
 
 
 def solve_null_control(
@@ -278,42 +299,40 @@ def solve_null_control(
     """Continuation over the penalty schedule, each stage solved exactly.
 
     One uncontrolled solve gives the modal datum z of every stage; stage n
-    is then (I/n + G) q = z in the eigenbasis of G, one GEMM for h and one
-    forward solve for u (see the module docstring).  Each stage is accepted
-    when its terminal norm does not exceed the best one so far.  The
-    continuation stops after the first rejected stage, whose row ends
-    ``stages``; the returned control is the last accepted one.  Every row
-    has cg_iters = 0.
+    is then (I/n + G) q = z in the eigenbasis of G, with closed-form norms
+    (``_stage_norms``).  Each stage is accepted when its terminal norm does
+    not exceed the best one so far.  The continuation stops after the first
+    rejected stage, whose row (carrying the last accepted norms) ends
+    ``stages``.  Only the last accepted stage gets h, one GEMM, and a
+    forward solve for u and the result's terminal norm.  Every row has
+    cg_iters = 0.
     """
     grid = prob.grid
     gram = _gramian(prob)
     free = forward_solve_linear(prob.c, g, None, u0, grid, prob.op)
     z = free[-2, 1:-1] @ gram.to_eig
-    h = u = None
+    w_free = gram.vecs @ (free[-1, 1:-1] @ gram.to_eig)  # row nt, D^{1/2} Q coordinates
     best = np.inf
     stages: List[StageDiagnostics] = []
     for n in schedule.ns:
-        h_new = np.zeros_like(free)
-        # a datum near the float64 limit can overflow here; the forward
-        # solve's finiteness check reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            qn = gram.vecs @ (z / (1.0 / n + gram.g))
-            h_new[1:-1, 1:-1] = (gram.powers * qn) @ gram.to_ctrl
-        u_new = forward_solve_linear(prob.c, g, h_new, u0, grid, prob.op)
-        raw = terminal_l2(u_new, grid)
-        accepted = raw <= best or h is None
+        y, raw, cw_n, su_n = _stage_norms(gram, z, w_free, n)
+        accepted = raw <= best  # raw is finite, so the first stage is accepted
         if accepted:
-            h, u, best = h_new, u_new, raw
+            y_best, best, cw, su = y, raw, cw_n, su_n
         # J_n = (cw + sw)/2 in logs: ||h||^2 on the interior rows, n ||u(t_{nt-1})||^2
-        cw = log_norm_sq(h[1:-1], grid)
-        sw = math.log(n) + log_norm_sq(u[-2], grid, integrate_space)
+        sw = math.log(n) + su
         jn = float(np.logaddexp(cw, sw)) - math.log(2.0)
         stages.append(
             StageDiagnostics(float(n), 0, jn, best, cw, sw, accepted=accepted)
         )
         if not accepted:
             break
-    tnorm = stages[-1].terminal_norm
+    h = np.zeros_like(free)
+    # a datum near the float64 limit can overflow here; the forward solve's
+    # finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        h[1:-1, 1:-1] = (gram.powers * (gram.vecs @ y_best)) @ gram.to_ctrl
+    u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
+    tnorm = terminal_l2(u, grid)
     success = tnorm <= schedule.tol_terminal * max(l2_norm(u0, grid), 1e-300)
     return NullControlResult(h=h, u=u, stages=stages, terminal_norm=tnorm, success=success)
-

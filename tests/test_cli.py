@@ -184,9 +184,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "overrides, key",
         [
-            ({"problem.f": {"kind": "linear", "coeff": 1e309}}, "problem.f"),
+            ({"problem.f": {"kind": "linear", "coeff": 1e309}}, "problem.f.coeff"),
             ({"problem.f": {"kind": "polynomial", "coeffs": [1e308, 0.0, 1e308]}}, "problem.f"),
-            ({"problem.ell.slope": 1e309}, "problem.ell"),
+            ({"problem.ell.slope": 1e309}, "problem.ell.slope"),
             ({"problem.u0.amplitude": float("nan")}, "problem.u0.amplitude"),
             ({"problem.u0.amplitude": float("-inf")}, "problem.u0.amplitude"),
             ({"hum.schedule": [1.0, 1e309]}, "hum.schedule"),
@@ -199,6 +199,26 @@ class TestExitCodes:
         code = main(["null-control", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
         assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), 1e309, 10**400], ids=["nan", "inf", "big_int"]
+    )
+    @pytest.mark.parametrize(
+        "key",
+        ["carleman.s", "carleman.lambda", "carleman.omega_prime_margin", "carleman.M_fraction",
+         "hum.tol_terminal", "discretization.gamma", "problem.T", "problem.a.alpha",
+         "newton.tol"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key, value):
+        # NaN fails every comparison and inf passes a lower bound, so neither
+        # may reach the bound checks, or a later key would take the blame; an
+        # integer literal beyond float64 would raise OverflowError in float()
+        overrides = {key: value, "discretization.nx": 16, "discretization.nt": 16}
+        cfg = write_cfg(tmp_path, overrides)
+        for command in ("null-control", "verify"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 2
+            assert f"config error: {key}: must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("amplitude", [1e160, 1e200, 1e250])
     def test_huge_datum_scales_exactly(self, tmp_path, amplitude):

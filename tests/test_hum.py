@@ -15,7 +15,8 @@ from degctrl import (
 from degctrl import NonFiniteTrajectory, hum, pde
 from degctrl.cli import _control_problem
 from degctrl.config import load_config, parse_config
-from degctrl.grid import integrate_interior, l2_norm
+from degctrl.grid import integrate_interior, integrate_space, l2_norm, log_norm_sq
+from degctrl.newton import local_null_control
 from tests.conftest import make_control_problem
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
@@ -168,12 +169,14 @@ def _reject_stage(monkeypatch, k):
     own, above the best so far.  On the sine datum the exact stage solve
     rejects no stage by itself: its terminal norms fall with n."""
     calls = []
+    norms = hum._stage_norms
 
-    def worse(u, grid):
+    def worse(*args):
         calls.append(None)
-        return terminal_l2(u, grid) * (1e3 if len(calls) == k + 1 else 1.0)
+        y, terminal, cw, su = norms(*args)
+        return y, terminal * (1e3 if len(calls) == k + 1 else 1.0), cw, su
 
-    monkeypatch.setattr(hum, "terminal_l2", worse)
+    monkeypatch.setattr(hum, "_stage_norms", worse)
 
 
 class TestEarlyStop:
@@ -206,33 +209,83 @@ class TestEarlyStop:
         assert all(st.accepted for st in res.stages)
 
 
+def _count_calls(monkeypatch):
+    """Count forward and adjoint solves of hum, step-kernel eigh_tridiagonal
+    calls and Gramian eighs from here on."""
+    counts = {"forward": 0, "adjoint": 0, "eigh": 0, "gramian": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key, name in (("forward", "forward_solve_linear"), ("adjoint", "adjoint_solve")):
+        monkeypatch.setattr(hum, name, counted(key, getattr(hum, name)))
+    monkeypatch.setattr(pde, "eigh_tridiagonal", counted("eigh", pde.eigh_tridiagonal))
+    monkeypatch.setattr(np.linalg, "eigh", counted("gramian", np.linalg.eigh))
+    return counts
+
+
 class TestDefaultConfigCounts:
     def test_default_config_work(self, monkeypatch):
         cfg = load_config(DEFAULT_CONFIG)
-        counts = {"forward": 0, "adjoint": 0, "eigh": 0, "gramian": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for key, name in (("forward", "forward_solve_linear"), ("adjoint", "adjoint_solve")):
-            monkeypatch.setattr(hum, name, counted(key, getattr(hum, name)))
+        counts = _count_calls(monkeypatch)
         # the modal step kernel is built once, and its eigenbasis carries
-        # the Gramian, which is diagonalized once
-        monkeypatch.setattr(pde, "eigh_tridiagonal", counted("eigh", pde.eigh_tridiagonal))
-        monkeypatch.setattr(np.linalg, "eigh", counted("gramian", np.linalg.eigh))
+        # the Gramian, which is diagonalized once; the stages' norms are
+        # closed-form, so only the free and the returned state are solved
         prob = _control_problem(cfg)
         res = solve_null_control(None, cfg.problem.u0, cfg.schedule, prob)
         assert len(res.stages) == 7 and all(st.accepted for st in res.stages)
         assert all(st.cg_iters == 0 for st in res.stages)
-        assert counts == {"forward": 8, "adjoint": 0, "eigh": 1, "gramian": 1}
+        assert counts == {"forward": 2, "adjoint": 0, "eigh": 1, "gramian": 1}
         assert res.terminal_norm == pytest.approx(1.8928545167524e-06, rel=1e-12)
         # a second solve on the problem, as on every Newton step, reuses both
         solve_null_control(None, cfg.problem.u0, cfg.schedule, prob)
-        assert counts == {"forward": 16, "adjoint": 0, "eigh": 1, "gramian": 1}
+        assert counts == {"forward": 4, "adjoint": 0, "eigh": 1, "gramian": 1}
+
+    def test_default_nonlinear_work(self, monkeypatch):
+        cfg = load_config(DEFAULT_CONFIG)
+        counts = _count_calls(monkeypatch)
+        prob = _control_problem(cfg)
+        _, _, history, converged = local_null_control(
+            cfg.problem, prob, cfg.schedule, cfg.newton_tol, cfg.newton_maxit
+        )
+        assert converged and len(history) == 6
+        assert counts == {"forward": 12, "adjoint": 0, "eigh": 1, "gramian": 1}
+
+
+class TestClosedFormStageNorms:
+    """Each stage's closed-form norms against the forward-solved state of the
+    same control: a one-stage schedule returns both."""
+
+    @pytest.mark.parametrize("k, source", [(32, False), (64, False), (128, False), (160, True)])
+    def test_matches_forward_solve(self, k, source):
+        # nx = 160 takes the LAPACK step kernel, and step_eigenbasis runs
+        # its own eigh_tridiagonal for the Gramian
+        prob = make_control_problem(k, k)
+        grid = prob.grid
+        g = None
+        if source:
+            g = np.zeros((grid.nt + 1, grid.nx + 1))
+            g[1:, 1:-1] = np.random.default_rng(5).standard_normal((grid.nt, grid.nx - 1))
+        u0 = _sine_datum(grid)
+        for n in PenaltySchedule().ns:
+            res = solve_null_control(g, u0, PenaltySchedule(ns=(n,)), prob)
+            st = res.stages[0]
+            assert st.terminal_norm == pytest.approx(res.terminal_norm, rel=1e-10)
+            cw = log_norm_sq(res.h[1:-1], grid)
+            sw = np.log(n) + log_norm_sq(res.u[-2], grid, integrate_space)
+            assert st.ctrl_weighted_norm_log == pytest.approx(cw, rel=1e-10)
+            assert st.state_weighted_norm_log == pytest.approx(sw, rel=1e-10)
+
+    def test_non_finite_stage_raises(self, bench16):
+        # y = z/(1/n + g) overflows on the modes that G barely observes
+        gram = hum._gramian(bench16)
+        z = np.full(gram.g.size, 1e308)
+        with pytest.raises(NonFiniteTrajectory, match="penalty stage n=1e"):
+            hum._stage_norms(gram, z, np.zeros_like(z), 1e6)
 
 
 def _cg_counts(u0, sched, prob):
