@@ -39,15 +39,20 @@ _DEFAULTS = {
 }
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # keys of the weighted-CG synthesis that the exact penalized-HUM solve replaced
 _REMOVED_HUM_KEYS = ("log_weight_cap", "cg_tol", "cg_maxit")
 
 
 def _numbers(vals: list, path: str) -> list:
     """The entries of a JSON list as floats.  Anything but a number (null,
-    a string, a boolean) is a config error naming path."""
+    a string, a boolean) is a config error naming path, and so is a
+    non-finite entry, as in ``_get``."""
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
         raise ConfigError(path, f"expected a list of numbers, got {vals!r}")
+    if not all(abs(v) <= _FLOAT_MAX for v in vals):
+        raise ConfigError(path, f"entries must be finite, got {vals!r}")
     return [float(v) for v in vals]
 
 
@@ -61,7 +66,7 @@ def _get(block: dict, key: str, path: str, expect=None, default=..., low=None, h
     if expect is not None and (isinstance(val, bool) or not isinstance(val, expect)):
         raise ConfigError(path, f"expected {expect}, got {type(val).__name__}")
     # NaN and inf pass the bounds below, and an int beyond float64 fails float()
-    if isinstance(val, (int, float)) and not abs(val) <= float(np.finfo(float).max):
+    if isinstance(val, (int, float)) and not abs(val) <= _FLOAT_MAX:
         raise ConfigError(path, f"must be finite, got {val}")
     if low is not None and val < low:
         raise ConfigError(path, f"must be >= {low}, got {val}")

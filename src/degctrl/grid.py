@@ -25,6 +25,7 @@ __all__ = [
     "norm_sq",
     "duality_pairing",
     "integrate_spacetime_logweight",
+    "LogWeight",
 ]
 
 
@@ -71,6 +72,47 @@ class SpaceTimeGrid:
         w[-1] += 0.5 * self.dt
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def interior_quadrature(self) -> np.ndarray:
+        """The weights wt_j d_i of ``integrate_interior`` as one
+        (nt-1, nx+1) table.  Computed once per grid and read-only."""
+        q = np.outer(self.interior_time_weights, self.dual_widths)
+        q.setflags(write=False)
+        return q
+
+    def sine_modes(self, modes: int) -> np.ndarray:
+        """sin(pi k x_i) for k = 1..modes, an (nx+1, modes) table.  Computed
+        once per grid and mode count and read-only."""
+        k = np.arange(1, modes + 1)
+        return self.derived(
+            ("sine_modes", modes), None, lambda: np.sin(np.pi * np.outer(self.x, k))
+        )
+
+    def cosine_modes(self, modes: int) -> np.ndarray:
+        """cos(pi k t_j / T) for k = 1..modes, an (nt+1, modes) table.
+        Computed once per grid and mode count and read-only."""
+        k = np.arange(1, modes + 1)
+        return self.derived(
+            ("cosine_modes", modes), None, lambda: np.cos(np.pi * np.outer(self.t, k) / self.T)
+        )
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, key, owner, build):
+        """``build()``, computed once and kept on this grid per hashable key,
+        for a table that also derives from ``owner`` (compared by identity,
+        None for the grid alone): a new owner under the same key rebuilds
+        it.  Array results are made read-only."""
+        hit = self._derived.get(key)
+        if hit is None or hit[0] is not owner:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            hit = self._derived[key] = (owner, value)
+        return hit[1]
 
 
 def build_grid(nx: int, nt: int, T: float, gamma: float = 2.0) -> SpaceTimeGrid:
@@ -150,6 +192,85 @@ def duality_pairing(a_traj: np.ndarray, b_traj: np.ndarray, grid: SpaceTimeGrid)
     return grid.dt * float(np.sum(rows))
 
 
+# log_integral's sum S of values * exp(min(lw - m, 0)) * q runs in float64.
+# A table entry or a product that falls below the normal range is subnormal
+# or flushed to 0 and off by up to 2**-1075 (an entry by up to (1 + q) times
+# that).  The q sum to T over the N interior nodes, so beyond ordinary
+# rounding S is off by at most max(values, 1) (T + 2N) 2**-1075.  Where
+# S >= max(values, 1) * UNDERFLOW_FLOOR that is under (T + 2N) 2.5e-34 of S,
+# below eps for any T + 2N < 1e17; a smaller S is summed again under the
+# joint shift, whose largest term is exactly q.
+UNDERFLOW_FLOOR = 1e-290
+
+
+class LogWeight:
+    """A log-weight table prepared for repeated weighted log-integrals.
+
+    ``LogWeight(logw, grid).log_integral(values)`` is the log of the
+    interior space-time integral of exp(logw) * values, as
+    ``integrate_spacetime_logweight`` defines it.  The interior rows of logw
+    are kept, and for the last shift m the table exp(min(lw - m, 0)) wt_j d_i
+    (the grid's ``interior_quadrature``), so that a call is a min, a max
+    and one dot product.
+    """
+
+    def __init__(self, logw: np.ndarray, grid: SpaceTimeGrid):
+        logw = np.asarray(logw, dtype=float)
+        self.shape = (grid.nt + 1, grid.nx + 1)
+        if logw.shape != self.shape:
+            raise ValueError(f"expected arrays of shape {self.shape}")
+        self._lw = logw[1 : grid.nt].flatten()
+        self._quad = grid.interior_quadrature.ravel()
+        self._nan = bool(np.isnan(self._lw).any())
+        self._argmax = int(np.argmax(self._lw))
+        self._shift = self._table = None
+
+    def _exp_table(self, m: float) -> np.ndarray:
+        if m != self._shift:
+            self._table = np.exp(np.minimum(self._lw - m, 0.0)) * self._quad
+            self._shift = m
+        return self._table
+
+    def log_integral(self, values: np.ndarray) -> float:
+        """Log of the interior integral of exp(logw) * values (-inf when it
+        is zero).  ``values`` must be nonnegative: NaN or a negative value
+        raises ValueError, and so does NaN in logw."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.shape:
+            raise ValueError(f"expected arrays of shape {self.shape}")
+        vv = values[1 : self.shape[0] - 1].ravel()
+        # NaN and negative values (neither counts as > 0, so the shift below
+        # would not see them) are refused under the joint shift
+        if not self._nan and vv.min() >= 0.0:
+            # shift by the largest log-weight where values > 0, so that no
+            # weight on a zero value sets it; the cap keeps those (+inf
+            # too) finite, and a -inf weight's entry is 0
+            if vv[self._argmax] > 0.0:  # the usual case: no masked max
+                m = float(self._lw[self._argmax])
+            else:
+                m = float(self._lw.max(where=vv > 0.0, initial=-math.inf))
+            if math.isfinite(m):  # -inf where every value is 0
+                S = float(np.dot(vv, self._exp_table(m)))
+                if max(float(vv.max()), 1.0) * UNDERFLOW_FLOOR <= S < math.inf:
+                    return math.log(S) + m
+        # the joint shift by the max of logw + log(values): exact where
+        # underflowed table entries could matter, and the one path for NaN,
+        # negative or all-zero values and for an infinite shift
+        lw = self._lw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = lw + np.log(vv)
+        if np.isnan(total).any():  # NaN input, a negative value, or inf * 0
+            if np.isnan(lw).any() or np.isnan(vv).any():
+                raise ValueError("NaN in weighted-integral inputs")
+            if (vv < 0).any():
+                raise ValueError("values must be nonnegative")
+            total[vv == 0] = -math.inf
+        m = float(np.max(total))
+        if m == -math.inf:
+            return -math.inf
+        return safe_log(float(np.dot(np.exp(total - m), self._quad))) + m
+
+
 def integrate_spacetime_logweight(
     logw: np.ndarray, values: np.ndarray, grid: SpaceTimeGrid
 ) -> float:
@@ -159,26 +280,7 @@ def integrate_spacetime_logweight(
     ``logw`` and ``values`` are (nt+1, nx+1) tabulations; ``values`` must be
     nonnegative.  Rows 0 and nt are excluded (the weights are improper
     there).  The integral is summed after a shift by the largest log term m
-    and returned as log(sum) + m, so it never leaves float64 range.
+    and returned as log(sum) + m, so it never leaves float64 range.  A
+    weight used for many integrals is prepared once as a ``LogWeight``.
     """
-    logw = np.asarray(logw, dtype=float)
-    values = np.asarray(values, dtype=float)
-    shape = (grid.nt + 1, grid.nx + 1)
-    if logw.shape != shape or values.shape != shape:
-        raise ValueError(f"expected arrays of shape {shape}")
-    lw = logw[1 : grid.nt]
-    vv = values[1 : grid.nt]
-    # shift by the max of logw + log(values) jointly, so the result is
-    # immune to the weight maximum landing on a node where values vanish
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = lw + np.log(vv)
-    if np.isnan(total).any():  # NaN input, a negative value, or inf * 0
-        if np.isnan(lw).any() or np.isnan(vv).any():
-            raise ValueError("NaN in weighted-integral inputs")
-        if (vv < 0).any():
-            raise ValueError("values must be nonnegative")
-        total[vv == 0] = -math.inf
-    m = float(np.max(total))
-    if m == -math.inf:
-        return -math.inf
-    return safe_log(integrate_interior(np.exp(total - m), grid)) + m
+    return LogWeight(logw, grid).log_integral(values)

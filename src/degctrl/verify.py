@@ -16,6 +16,14 @@ one row-block call of apply_operator / h1a_norm_sq and one matrix product
 per integral, no loop over time rows.  ``run_verifications`` builds the
 weight fields from ``cfg.carleman`` on first use and reports their overflow
 as a config error naming ``carleman.lambda``.
+
+What does not change between ensemble members is built once per run and
+kept on the grid (``SpaceTimeGrid.derived``): the four Carleman log-weights
+of each kind and the window mask, the E-norm weight 2 log rho0, each
+prepared as a ``grid.LogWeight`` whose log-integral is one dot product; the
+sine and cosine tables of the random draws; and the Hardy check's
+admissibility scan and a(x) tabulations.  Each member still draws from its
+own stream and runs its own solves.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ import numpy as np
 
 from .coeffs import DegeneracyCoefficient
 from .errors import AdmissibilityFail, ConfigError, ZeroDenominator
-from .grid import (SpaceTimeGrid, integrate_interior, integrate_spacetime_logweight, safe_log,
-                   window_mask)
+from .grid import LogWeight, SpaceTimeGrid, integrate_interior, safe_log, window_mask
 from .pde import (
     DegenerateOperator,
     adjoint_solve,
@@ -57,9 +64,9 @@ __all__ = [
 ]
 
 
-# Largest max(|lhs_log|, |rhs_log|) * eps that verify's Carleman checks
-# accept: their log ratio is then good to a few 1e-3, far inside the decade
-# (2.3 in log) between the golden caps and the observed maxima.
+# Bound on max(|lhs_log|, |rhs_log|) * eps for verify's Carleman checks:
+# their log ratio is then good to a few 1e-3, far inside the decade (2.3 in
+# log) between the golden caps and the observed maxima.
 MAX_LOG_HEADROOM = 1e-3
 
 
@@ -84,18 +91,15 @@ def _ratio(lhs_log: float, rhs_log: float) -> float:
 
 def random_profile(grid: SpaceTimeGrid, rng, modes: int = 5) -> np.ndarray:
     """Random smooth spatial profile vanishing at both boundaries."""
-    k = np.arange(1, modes + 1)
-    coef = rng.standard_normal(modes) / k
-    return np.sin(np.pi * np.outer(grid.x, k)) @ coef
+    coef = rng.standard_normal(modes) / np.arange(1, modes + 1)
+    return grid.sine_modes(modes) @ coef
 
 
 def random_smooth_field(grid: SpaceTimeGrid, rng, modes: int = 4) -> np.ndarray:
     """Random smooth space-time field, a low-order sine/cosine series."""
     k = np.arange(1, modes + 1)
     coef = rng.standard_normal((modes, modes)) / np.add.outer(k**2, k**2) * 4.0
-    sx = np.sin(np.pi * np.outer(grid.x, k))  # (nx+1, modes)
-    ct = np.cos(np.pi * np.outer(grid.t, k) / grid.T)  # (nt+1, modes)
-    return ct @ coef @ sx.T
+    return grid.cosine_modes(modes) @ coef @ grid.sine_modes(modes).T
 
 
 _THETA_SCAN = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -119,6 +123,22 @@ def _check_admissible(a: DegeneracyCoefficient) -> float:
     )
 
 
+def _hardy_tables(a: DegeneracyCoefficient, grid: SpaceTimeGrid) -> tuple:
+    """(theta, a/x^2 at the nodes 1..nx, a/x^2 at the first midpoint, a at
+    the midpoints, the cell widths): what the Hardy check reads of a and the
+    grid, computed once per coefficient and kept on the grid."""
+
+    def build():
+        theta = _check_admissible(a)
+        x = grid.x
+        xm = 0.5 * (x[:-1] + x[1:])
+        a_x2 = np.asarray(a(x[1:]), dtype=float) / x[1:] ** 2
+        a_mid = np.asarray(a(xm), dtype=float)
+        return theta, a_x2, float(a(xm[0])) / xm[0] ** 2, a_mid, np.diff(x)
+
+    return grid.derived("hardy", a, build)
+
+
 def hardy_poincare_ratio(
     a: DegeneracyCoefficient, w: np.ndarray, grid: SpaceTimeGrid
 ) -> InequalityReport:
@@ -128,25 +148,19 @@ def hardy_poincare_ratio(
     singular factor a/x^2 is never evaluated at x = 0 (the integrand limit
     is 0 there, enforced by w(0) = 0).
     """
-    theta = _check_admissible(a)
+    theta, a_x2, a_xm2, a_mid, dx = _hardy_tables(a, grid)
     w = np.asarray(w, dtype=float)
     if w[0] != 0.0:
         raise ValueError("Hardy check requires w(0) = 0")
     if not np.any(w):
         raise ZeroDenominator("w vanishes identically")
-    x = grid.x
     d = grid.dual_widths
-    vals = np.zeros_like(w)
-    vals[1:] = np.asarray(a(x[1:]), dtype=float) / x[1:] ** 2 * w[1:] ** 2
-    lhs = float(np.dot(vals[1:], d[1:]))
-    xm = 0.5 * (x[0] + x[1])
+    lhs = float(np.dot(a_x2 * w[1:] ** 2, d[1:]))
     wm = 0.5 * (w[0] + w[1])
-    lhs += float(a(xm)) / xm**2 * wm**2 * d[0]
+    lhs += a_xm2 * wm**2 * d[0]
 
-    dx = np.diff(x)
     dw = np.diff(w) / dx
-    am = np.asarray(a(0.5 * (x[:-1] + x[1:])), dtype=float)
-    rhs = float(np.sum(am * dw * dw * dx))
+    rhs = float(np.sum(a_mid * dw * dw * dx))
     if rhs <= 0.0:
         raise ZeroDenominator("gradient energy vanishes")
     L, R = safe_log(lhs), safe_log(rhs)
@@ -169,6 +183,34 @@ def _nodal_gradient_energy(a_mid: np.ndarray, v: np.ndarray, x: np.ndarray):
     return out
 
 
+def _carleman_weights(kind: str, fields: WeightFields, grid: SpaceTimeGrid, omega) -> tuple:
+    """The log-weights of the four Carleman terms, W s l w1, W (s l)^2 w2, W
+    and W (s l)^3 w3, prepared as LogWeights, and the window mask: built
+    once per weight fields, kind and window, and kept on the grid."""
+
+    def build():
+        s = fields.s
+        if kind == "phi_weights":
+            logW, logw1 = 2.0 * s * fields.phi, fields.log_sigma
+        elif kind == "A_weights":
+            logW, logw1 = 2.0 * s * fields.A, fields.log_varsigma
+        else:
+            raise ValueError(f"unknown Carleman weight kind {kind!r}")
+        sl = math.log(s * fields.lam)
+        with np.errstate(invalid="ignore"):  # inf - inf on rows 0 and nt, which LogWeight drops
+            tables = (logW + logw1 + sl, logW + 2.0 * logw1 + 2.0 * sl, logW,
+                      logW + 3.0 * logw1 + 3.0 * sl)
+        return tuple(LogWeight(lw, grid) for lw in tables) + (window_mask(grid, omega),)
+
+    return grid.derived(("carleman", kind, tuple(omega)), fields, build)
+
+
+def _rho_weight(name: str, fields: WeightFields, grid: SpaceTimeGrid) -> LogWeight:
+    """2 * fields.<name> (log_rho0 or log_rhostar) prepared as a LogWeight,
+    built once per weight fields and kept on the grid."""
+    return grid.derived(name, fields, lambda: LogWeight(2.0 * getattr(fields, name), grid))
+
+
 def carleman_check(
     kind: str,
     F: np.ndarray,
@@ -188,33 +230,20 @@ def carleman_check(
     kind="phi_weights" and the (e^{2sA}, varsigma, ...) family for
     kind="A_weights".
     """
-    s, lam = fields.s, fields.lam
-    if kind == "phi_weights":
-        logW = 2.0 * s * fields.phi
-        logw1 = fields.log_sigma
-    elif kind == "A_weights":
-        logW = 2.0 * s * fields.A
-        logw1 = fields.log_varsigma
-    else:
-        raise ValueError(f"unknown Carleman weight kind {kind!r}")
-
+    w_grad, w_zero, w_src, w_obs, window = _carleman_weights(kind, fields, grid, omega)
     v = adjoint_solve(-F, c, grid, op, terminal=terminal)
-    grad = _nodal_gradient_energy(op.a_mid, v, grid.x)
-
-    sl = math.log(s * lam)
-    with np.errstate(invalid="ignore"):
-        t1 = integrate_spacetime_logweight(logW + logw1 + sl, grad, grid)
-        t2 = integrate_spacetime_logweight(logW + 2.0 * logw1 + 2.0 * sl, v * v, grid)
-        r1 = integrate_spacetime_logweight(logW, F * F, grid)
-        vo = np.where(window_mask(grid, omega)[None, :], v, 0.0)
-        r2 = integrate_spacetime_logweight(logW + 3.0 * logw1 + 3.0 * sl, vo * vo, grid)
+    v2 = v * v
+    t1 = w_grad.log_integral(_nodal_gradient_energy(op.a_mid, v, grid.x))
+    t2 = w_zero.log_integral(v2)
+    r1 = w_src.log_integral(F * F)
+    r2 = w_obs.log_integral(np.where(window, v2, 0.0))
     lhs, rhs = float(np.logaddexp(t1, t2)), float(np.logaddexp(r1, r2))
     return InequalityReport(
         name=f"carleman_{kind}",
         lhs_log=lhs,
         rhs_log=rhs,
         ratio=_ratio(lhs, rhs),
-        params={"s": s, "lambda": lam},
+        params={"s": fields.s, "lambda": fields.lam},
     )
 
 
@@ -228,18 +257,17 @@ def e_norm(
     """Log of the squared E-norm: weighted state + control energies, the
     weighted equation residual (backward-difference u_t matching the solver
     stencil) and the initial H^1_a energy."""
-    lw0 = 2.0 * fields.log_rho0
-    lws = 2.0 * fields.log_rhostar
-    term1 = integrate_spacetime_logweight(lw0, u * u, grid)
+    rho0 = _rho_weight("log_rho0", fields, grid)
+    term1 = rho0.log_integral(u * u)
     if h is not None:
-        term2 = integrate_spacetime_logweight(lws, h * h, grid)
+        term2 = _rho_weight("log_rhostar", fields, grid).log_integral(h * h)
     else:
         term2 = -math.inf
     res = np.zeros_like(u)
     res[1:] = np.diff(u, axis=0) / grid.dt - apply_operator(op, u[1:])
     if h is not None:
         res[1:] -= h[1:]
-    term3 = integrate_spacetime_logweight(lw0, res * res, grid)
+    term3 = rho0.log_integral(res * res)
     term4 = safe_log(h1a_norm_sq(u[0], op, grid))
     return float(np.logaddexp.reduce([term1, term2, term3, term4]))
 
@@ -291,7 +319,7 @@ def bilinear_bound_check(
     Lu = apply_operator(op, u[inner])
     vals = np.zeros_like(u)
     vals[inner] = (iu * iu)[:, None] * Lu * Lu
-    lhs = integrate_spacetime_logweight(2.0 * fields.log_rho0, vals, grid)
+    lhs = _rho_weight("log_rho0", fields, grid).log_integral(vals)
     rhs = e_norm(u, h, fields, grid, op) + e_norm(ub, hb, fields, grid, op)
     if rhs == -math.inf and lhs != -math.inf:
         raise ZeroDenominator("zero E-norms with nonzero bilinear term")
@@ -351,19 +379,34 @@ def _hardy(cfg, op, fields, rng) -> InequalityReport:
     return hardy_poincare_ratio(cfg.problem.a, random_profile(cfg.grid, rng), cfg.grid)
 
 
+def _refuse_unresolved(rep: InequalityReport, bound: float) -> None:
+    """Exit 2 naming carleman.lambda unless max(|lhs_log|, |rhs_log|) eps
+    stays below bound (NaN fails).  float64 holds a log L only to |L| eps,
+    and the dominant terms of each integral have exponents about as large
+    as its log; exact zeros are exact."""
+    logs = np.array([rep.lhs_log, rep.rhs_log])
+    top = float(np.abs(logs[logs != -np.inf]).max(initial=0.0))
+    if not top * np.finfo(float).eps < bound:
+        raise ConfigError(
+            "carleman.lambda", f"|lhs_log|, |rhs_log| up to {top:.3g}: times eps this "
+            f"reaches {bound:.3g}, so float64 does not resolve the log ratio",
+        )
+
+
+def _cap_distance(rep: InequalityReport, cap: float) -> float:
+    """|(lhs_log - rhs_log) - log cap|: how far rounding must move the log
+    ratio to flip the row's pass; inf where a zero LHS or RHS makes the
+    ratio exact."""
+    if rep.lhs_log == -math.inf or rep.rhs_log == -math.inf:
+        return math.inf
+    return abs(rep.lhs_log - rep.rhs_log - math.log(cap))
+
+
 def _carleman(kind: str, cfg, op, fields, rng) -> InequalityReport:
     F = random_smooth_field(cfg.grid, rng)
     terminal = random_profile(cfg.grid, rng)
     rep = carleman_check(kind, F, terminal, cfg.c, fields(), cfg.grid, op, cfg.problem.omega)
-    # float64 holds a log L only to |L| eps, and the dominant terms of each
-    # integral have exponents about as large as its log; exact zeros are exact
-    logs = np.array([rep.lhs_log, rep.rhs_log])
-    top = np.abs(logs[logs != -np.inf]).max(initial=0.0)
-    if not top * np.finfo(float).eps <= MAX_LOG_HEADROOM:  # NaN too
-        raise ConfigError(
-            "carleman.lambda", f"|lhs_log|, |rhs_log| up to {top:.3g}: times eps this "
-            f"exceeds {MAX_LOG_HEADROOM:g}, so float64 does not resolve the log ratio",
-        )
+    _refuse_unresolved(rep, MAX_LOG_HEADROOM)
     return rep
 
 
@@ -399,6 +442,11 @@ _WITNESSES = {
     "bilinear": _bilinear,
 }
 KNOWN_CHECKS = tuple(_WITNESSES)
+# checks whose log ratio sits so far from log cap (about -1.2e8 at the
+# default config) that a flat bound on the log error would refuse
+# resolvable rows: their rows are refused only where rounding could move
+# the ratio across the cap
+_CAP_DISTANCE_CHECKS = ("sup", "bilinear")
 
 
 def run_verifications(cfg):
@@ -427,6 +475,8 @@ def run_verifications(cfg):
         for i in range(cfg.verify_ensemble):
             rep = _WITNESSES[check](cfg, op, fields, np.random.default_rng([seed, k, i]))
             cap = caps.get(rep.name)
+            if check in _CAP_DISTANCE_CHECKS and cap is not None:
+                _refuse_unresolved(rep, _cap_distance(rep, cap))
             passed = cap is None or rep.ratio <= cap
             rows.append(
                 (rep.name, car.s, car.lam, i, seed, rep.lhs_log, rep.rhs_log, rep.ratio, passed)

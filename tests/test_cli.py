@@ -246,8 +246,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value",
         [("problem.f.coeffs", [1.0, None]), ("problem.omega", [None, 0.8]),
-         ("problem.omega", [0.3, True]), ("hum.schedule", [1.0, None])],
-        ids=["coeffs_null", "omega_null", "omega_bool", "schedule_null"],
+         ("problem.omega", [0.3, True]), ("hum.schedule", [1.0, None]),
+         # NaN and inf would reach the range checks of ProblemData, f and
+         # PenaltySchedule, which blame problem, problem.f or no key
+         ("problem.f.coeffs", [1.0, float("nan")]), ("problem.omega", [float("nan"), 0.8]),
+         ("problem.omega", [0.3, 1e309]), ("hum.schedule", [1.0, 1e309]),
+         ("hum.schedule", [1.0, float("nan")]), ("problem.f.coeffs", [10**400])],
+        ids=["coeffs_null", "omega_null", "omega_bool", "schedule_null", "coeffs_nan",
+             "omega_nan", "omega_inf", "schedule_inf", "schedule_nan", "coeffs_big_int"],
     )
     def test_non_number_list_entry_is_config_error(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, {key: value})

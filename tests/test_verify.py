@@ -32,8 +32,8 @@ from degctrl import (
 from degctrl import verify
 from degctrl.cli import _fmt
 from degctrl.config import load_config, parse_config
-from degctrl.errors import ZeroDenominator
-from degctrl.grid import safe_log
+from degctrl.errors import ConfigError, ZeroDenominator
+from degctrl.grid import LogWeight, safe_log
 from degctrl.verify import KNOWN_CHECKS, _ratio, run_verifications
 from tests.conftest import make_fields
 
@@ -153,6 +153,56 @@ def _run(checks, carleman=None):
 @pytest.fixture(scope="module")
 def full_run():
     return _run(KNOWN_CHECKS)
+
+
+class TestCapDistanceHeadroom:
+    """sup and bilinear rows exit 2 naming carleman.lambda only where the
+    rounding of their logs, max(|lhs_log|, |rhs_log|) eps, reaches the
+    distance of their log ratio from log cap."""
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, refused",
+        [
+            (5.7e7, 1.74e8, False),  # the default config: 3.9e-8 against 1.2e8
+            (9.7e14, 1.95e15, False),  # lambda = 20: 0.43 against 9.8e14
+            (2e17, 2e17, True),  # 44 against |log 1e-12| = 27.6
+            (1e16, 1e16 - math.log(1e-12), True),  # on the cap, to within 2.2
+            (-math.inf, 1e300, False),  # a zero LHS: the ratio is exactly 0
+            (1e17, -math.inf, False),  # a zero RHS: the ratio is exactly inf
+            (math.nan, 1.0, True),
+            (math.inf, 1.0, True),
+        ],
+    )
+    def test_refusal_on_synthetic_logs(self, lhs, rhs, refused):
+        rep = verify.InequalityReport("nonlocal_sup_bound", lhs, rhs, _ratio(lhs, rhs))
+        distance = verify._cap_distance(rep, 1e-12)
+        if refused:
+            with pytest.raises(ConfigError, match="carleman.lambda"):
+                verify._refuse_unresolved(rep, distance)
+        else:
+            verify._refuse_unresolved(rep, distance)
+
+    @pytest.mark.parametrize("check", ["sup", "bilinear"])
+    def test_run_refuses_unresolved_row(self, monkeypatch, check):
+        def unresolved(cfg, op, fields, rng):
+            name = "nonlocal_sup_bound" if check == "sup" else "bilinear_bound"
+            return verify.InequalityReport(name, 2e17, 2e17, 1.0)
+
+        monkeypatch.setitem(verify._WITNESSES, check, unresolved)
+        with pytest.raises(ConfigError, match="carleman.lambda"):
+            _run([check])
+
+    def test_lambda_20_rows_pass(self):
+        # their logs carry errors of order 1, which cannot move a log ratio
+        # of about -1e15 across log cap
+        raw = {
+            "problem": {"a": {"kind": "power", "alpha": 0.5}},
+            "carleman": {"lambda": 20.0},
+            "verify": {"checks": ["sup", "bilinear"], "ensemble": 2},
+        }
+        rows, ok = run_verifications(parse_config(raw))
+        assert ok and len(rows) == 4
+        assert max(abs(row[5]) for row in rows) * np.finfo(float).eps > 0.1
 
 
 class TestGoldenCaps:
@@ -367,8 +417,9 @@ class TestDefaultConfigCounts:
             "apply_operator",
             "h1a_norm_sq",
             "integrate_space",
+            "LogWeight",
         )
-        counts = dict.fromkeys(names, 0)
+        counts = dict.fromkeys(names + ("log_integral",), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -380,12 +431,19 @@ class TestDefaultConfigCounts:
         for name in names:
             fn = getattr(verify, name, None)
             monkeypatch.setattr(verify, name, counted(name, fn), raising=False)
+        monkeypatch.setattr(
+            LogWeight, "log_integral", counted("log_integral", LogWeight.log_integral)
+        )
         rows, _ = run_verifications(cfg)
         assert len(rows) == 120
         assert counts == {
             "forward_solve_linear": 80,
             "adjoint_solve": 40,
-            "integrate_spacetime_logweight": 300,
+            # every weighted integral goes through a weight prepared once
+            # per run: four per Carleman kind and 2 log rho0
+            "integrate_spacetime_logweight": 0,
+            "LogWeight": 9,
+            "log_integral": 300,
             "apply_operator": 100,
             "h1a_norm_sq": 80,
             "integrate_space": 0,  # every row integral is one block operation
