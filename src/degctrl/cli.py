@@ -261,6 +261,7 @@ def _set_path(raw: dict, dotted: str, value) -> dict:
 def _sweep_one(args):
     raw, base, value, out, quiet = args
     cfg = parse_config(raw)
+    os.makedirs(out, exist_ok=True)
     code = _SWEEP_BASES[base](cfg, out, quiet)
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
@@ -283,12 +284,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, quiet: bool, args) -> int:
     tasks = []
     for v in parsed:
         sub = os.path.join(out, f"{args.axis.replace('.', '_')}={v}")
-        os.makedirs(sub, exist_ok=True)
         raw = _set_path(cfg.raw, args.axis, v)
-        parse_config(raw)  # fail fast with a config error before launching
+        parse_config(raw)  # a config error exits before any run directory exists
         tasks.append((raw, base, v, sub, True))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    workers = min(args.jobs, len(tasks))  # a forked pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]

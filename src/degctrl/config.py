@@ -1,7 +1,9 @@
 """JSON experiment configuration: parsing, validation and object building.
 
 Errors are reported as ConfigError with the dotted key path of the offending
-entry, so a bad config exits with a pointer to the exact field.
+entry, so a bad config exits with a pointer to the exact field.  ``_DEFAULTS``
+is the one list of keys: a key it lacks is refused, at the top level and in
+every block.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ from .weights import CarlemanParams
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
 _DEFAULTS = {
+    "problem": {
+        "a": {"kind": "power", "alpha": 0.5},
+        "ell": {"kind": "constant", "slope": 0.5},
+        "f": {"kind": "linear", "coeff": 1.0, "coeffs": [1.0]},
+        "omega": [0.3, 0.8],
+        "T": 1.0,
+        "u0": {"kind": "sine", "amplitude": 1.0},
+    },
     "discretization": {"nx": 64, "nt": 64, "gamma": 2.0},
     "carleman": {"s": 1.0, "lambda": 2.0, "omega_prime_margin": 0.25, "M_fraction": 0.5},
     "hum": {"schedule": [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6], "tol_terminal": 1e-2},
@@ -41,8 +51,19 @@ _DEFAULTS = {
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
-# keys of the weighted-CG synthesis that the exact penalized-HUM solve replaced
-_REMOVED_HUM_KEYS = ("log_weight_cap", "cg_tol", "cg_maxit")
+
+def _merge(user, defaults: dict, prefix: str = "") -> dict:
+    """defaults overlaid by user, an object with no key that defaults lacks;
+    nested objects are merged the same way, under the dotted prefix."""
+    if not isinstance(user, dict):
+        raise ConfigError(prefix[:-1] or "<root>", "must be an object")
+    for key in user:
+        if key not in defaults:
+            raise ConfigError(prefix + key, "unknown key")
+    return {
+        k: _merge(user.get(k, {}), d, f"{prefix}{k}.") if isinstance(d, dict) else user.get(k, d)
+        for k, d in defaults.items()
+    }
 
 
 def _numbers(vals: list, path: str) -> list:
@@ -56,11 +77,7 @@ def _numbers(vals: list, path: str) -> list:
     return [float(v) for v in vals]
 
 
-def _get(block: dict, key: str, path: str, expect=None, default=..., low=None, high=None):
-    if key not in block:
-        if default is not ...:
-            return default
-        raise ConfigError(path, "missing required key")
+def _get(block: dict, key: str, path: str, expect=None, low=None, high=None):
     val = block[key]
     # JSON true/false are Python bools, which are ints too: never a number here
     if expect is not None and (isinstance(val, bool) or not isinstance(val, expect)):
@@ -76,11 +93,11 @@ def _get(block: dict, key: str, path: str, expect=None, default=..., low=None, h
 
 
 def _build_a(block: dict) -> DegeneracyCoefficient:
-    kind = _get(block, "kind", "problem.a.kind", str, default="power")
+    kind = _get(block, "kind", "problem.a.kind", str)
     build = {"power": power_coefficient, "power_cosine": power_cosine_coefficient}
     if kind not in build:
         raise ConfigError("problem.a.kind", f"unknown coefficient kind {kind!r}")
-    alpha = float(_get(block, "alpha", "problem.a.alpha", (int, float), default=0.5))
+    alpha = float(_get(block, "alpha", "problem.a.alpha", (int, float)))
     try:
         a = build[kind](alpha)
         validate_degeneracy(a)
@@ -90,18 +107,18 @@ def _build_a(block: dict) -> DegeneracyCoefficient:
 
 
 def _build_ell(block: dict) -> NonlocalFactor:
-    kind = _get(block, "kind", "problem.ell.kind", str, default="constant")
+    kind = _get(block, "kind", "problem.ell.kind", str)
     if kind == "constant":
         return NonlocalFactor.constant()
     if kind == "affine":
-        slope = float(_get(block, "slope", "problem.ell.slope", (int, float), default=0.5))
+        slope = float(_get(block, "slope", "problem.ell.slope", (int, float)))
         return NonlocalFactor.affine(slope)
     raise ConfigError("problem.ell.kind", f"unknown nonlocal kind {kind!r}")
 
 
 def _build_f(block: dict) -> SemilinearTerm:
-    kind = _get(block, "kind", "problem.f.kind", str, default="linear")
-    coeff = float(_get(block, "coeff", "problem.f.coeff", (int, float), default=1.0))
+    kind = _get(block, "kind", "problem.f.kind", str)
+    coeff = float(_get(block, "coeff", "problem.f.coeff", (int, float)))
     if kind == "linear":
         return SemilinearTerm.linear(coeff)
     if kind == "sine":
@@ -109,19 +126,17 @@ def _build_f(block: dict) -> SemilinearTerm:
     if kind == "logistic":
         return SemilinearTerm.logistic(coeff)
     if kind == "polynomial":
-        coeffs = _get(block, "coeffs", "problem.f.coeffs", list, default=[1.0])
+        coeffs = _get(block, "coeffs", "problem.f.coeffs", list)
         return SemilinearTerm.polynomial(_numbers(coeffs, "problem.f.coeffs"))
     raise ConfigError("problem.f.kind", f"unknown semilinear kind {kind!r}")
 
 
 def _build_u0(block: dict, grid: SpaceTimeGrid) -> np.ndarray:
-    kind = _get(block, "kind", "problem.u0.kind", str, default="sine")
+    kind = _get(block, "kind", "problem.u0.kind", str)
     if kind == "zero":
         return np.zeros(grid.nx + 1)
     if kind == "sine":
-        amp = float(
-            _get(block, "amplitude", "problem.u0.amplitude", (int, float), default=1.0)
-        )
+        amp = float(_get(block, "amplitude", "problem.u0.amplitude", (int, float)))
         return amp * np.sin(np.pi * grid.x)
     raise ConfigError("problem.u0.kind", f"unknown initial-datum kind {kind!r}")
 
@@ -143,40 +158,33 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    merged = {}
-    for block, defaults in _DEFAULTS.items():
-        user = raw.get(block, {})
-        if not isinstance(user, dict):
-            raise ConfigError(block, "must be an object")
-        merged[block] = {**defaults, **user}
-    if "problem" not in raw or not isinstance(raw["problem"], dict):
+    if isinstance(raw, dict) and "problem" not in raw:
         raise ConfigError("problem", "missing problem block")
-    pb = raw["problem"]
+    merged = _merge(raw, _DEFAULTS)
+    pb = merged["problem"]
 
     disc = merged["discretization"]
     nx = _get(disc, "nx", "discretization.nx", int, low=2)
     nt = _get(disc, "nt", "discretization.nt", int, low=2)
     gamma = float(_get(disc, "gamma", "discretization.gamma", (int, float), low=1.0))
 
-    T = float(_get(pb, "T", "problem.T", (int, float), default=1.0))
+    T = float(_get(pb, "T", "problem.T", (int, float)))
     if T <= 0:
         raise ConfigError("problem.T", f"must be positive, got {T}")
     grid = build_grid(nx, nt, T, gamma)
 
-    omega = _get(pb, "omega", "problem.omega", list, default=[0.3, 0.8])
+    omega = _get(pb, "omega", "problem.omega", list)
     omega = _numbers(omega, "problem.omega")
     if len(omega) != 2:
         raise ConfigError("problem.omega", "expected [x_left, x_right]")
-    a = _build_a(pb.get("a", {}))
-    ell = _build_ell(pb.get("ell", {}))
+    a = _build_a(pb["a"])
+    ell = _build_ell(pb["ell"])
     try:
-        f = _build_f(pb.get("f", {}))
+        f = _build_f(pb["f"])
         c = linearized_potential(f, grid)
     except ValueError as exc:  # non-finite coefficients of f fail f's own checks
         raise ConfigError("problem.f", str(exc)) from exc
-    u0 = _build_u0(pb.get("u0", {}), grid)
+    u0 = _build_u0(pb["u0"], grid)
     try:
         problem = ProblemData(a=a, ell=ell, f=f, omega=tuple(omega), T=T, u0=u0)
     except ValueError as exc:
@@ -195,11 +203,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("carleman.M_fraction", "must lie in (0, 1)")
 
     hum = merged["hum"]
-    for key in _REMOVED_HUM_KEYS:
-        if key in hum:
-            raise ConfigError(
-                f"hum.{key}", "no longer a setting: every penalty stage is solved exactly"
-            )
     sched_vals = _numbers(_get(hum, "schedule", "hum.schedule", list), "hum.schedule")
     try:
         schedule = PenaltySchedule(
@@ -222,7 +225,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for ch in checks:
         if ch not in KNOWN_CHECKS:
             raise ConfigError("verify.checks", f"unknown check {ch!r}")
-    out = merged["output"].get("directory")
+    if not checks or len(set(checks)) < len(checks):
+        raise ConfigError("verify.checks", f"must list distinct checks, got {checks}")
+    out = merged["output"]["directory"]
 
     return ExperimentConfig(
         raw=raw,

@@ -22,7 +22,7 @@ __all__ = [
     "window_mask",
     "integrate_space",
     "integrate_interior",
-    "norm_sq",
+    "log_norm_sq",
     "duality_pairing",
     "integrate_spacetime_logweight",
     "LogWeight",
@@ -234,7 +234,8 @@ class LogWeight:
     def log_integral(self, values: np.ndarray) -> float:
         """Log of the interior integral of exp(logw) * values (-inf when it
         is zero).  ``values`` must be nonnegative: NaN or a negative value
-        raises ValueError, and so does NaN in logw."""
+        raises ValueError, and so do NaN in logw and an infinite term (an
+        infinite value, or a +inf weight on a positive value)."""
         values = np.asarray(values, dtype=float)
         if values.shape != self.shape:
             raise ValueError(f"expected arrays of shape {self.shape}")
@@ -255,7 +256,7 @@ class LogWeight:
                     return math.log(S) + m
         # the joint shift by the max of logw + log(values): exact where
         # underflowed table entries could matter, and the one path for NaN,
-        # negative or all-zero values and for an infinite shift
+        # negative or all-zero values and for an infinite shift or sum
         lw = self._lw
         with np.errstate(divide="ignore", invalid="ignore"):
             total = lw + np.log(vv)
@@ -266,6 +267,8 @@ class LogWeight:
                 raise ValueError("values must be nonnegative")
             total[vv == 0] = -math.inf
         m = float(np.max(total))
+        if not m < math.inf:  # NaN is left only by inf * 0 on a -inf weight
+            raise ValueError("infinite term in weighted-integral inputs")
         if m == -math.inf:
             return -math.inf
         return safe_log(float(np.dot(np.exp(total - m), self._quad))) + m

@@ -21,8 +21,8 @@ u(t_m) = V y/n, and row nt is one modal step on from row m, u_free(t_nt)
 less beta o V (g o y) in D^{1/2} Q coordinates.  So ``solve_null_control``
 builds h and solves for u only once, for the stage it returns.  G is built
 and diagonalized once per problem, on the eigenbasis the modal step kernel
-caches, and serves every stage and every Newton step.  ``minimize_Jn``, PCG
-on ``grad_Jn``, stays as the general library path and the cross-check.
+caches, and serves every stage and every Newton step.  ``minimize_Jn`` is one
+stage of it, and ``grad_Jn`` the independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import NonFiniteTrajectory
-from .grid import SpaceTimeGrid, integrate_interior, l2_norm, log_norm_sq, window_mask
+from .grid import SpaceTimeGrid, l2_norm, log_norm_sq, window_mask
 from .pde import DegenerateOperator, adjoint_solve, forward_solve_linear, step_eigenbasis
 
 __all__ = [
@@ -92,17 +92,13 @@ class LinearControlProblem:
 
 @dataclass
 class StageWeights:
-    """Squared weights of one penalty stage: W0 on the state, Wstar on the
-    control.  src_W0 = (wt/dt) W0 and to_ctrl = dt/wt on the interior rows,
-    and outside = ~mask, are the stage constants of every ``grad_Jn`` call.
-    """
+    """Penalty stage n: squared weights W0 on the state and Wstar on the
+    control, and the control window's mask."""
 
+    n: float
     W0: np.ndarray
     Wstar: np.ndarray
     mask: np.ndarray
-    src_W0: np.ndarray
-    to_ctrl: np.ndarray
-    outside: np.ndarray
 
 
 @dataclass
@@ -133,13 +129,11 @@ def build_stage(prob: LinearControlProblem, n: float) -> StageWeights:
     n ||u(t_{nt-1})||^2), zero on the other rows."""
     grid = prob.grid
     shape = (grid.nt + 1, grid.nx + 1)
-    wt, dt = grid.interior_time_weights[:, None], grid.dt
     W0 = np.zeros(shape)
-    W0[-2] = n / wt[-1]
+    W0[-2] = n / grid.interior_time_weights[-1]
     Wstar = np.zeros(shape)
     Wstar[1:-1] = 1.0
-    mask = window_mask(grid, prob.omega)
-    return StageWeights(W0, Wstar, mask, (wt / dt) * W0[1:-1], dt / wt, ~mask)
+    return StageWeights(n, W0, Wstar, window_mask(grid, prob.omega))
 
 
 def grad_Jn(
@@ -155,22 +149,22 @@ def grad_Jn(
     The state term enters through one adjoint solve with source W0 u, so
     the gradient is Wstar h plus that adjoint state, restricted to the
     control window.  Zero gradient is the discrete coupling between the
-    adjoint and the optimal control.  This is the only definition of the
-    control operator: with g = None and u0 = 0 it is the linear map A that
-    ``minimize_Jn`` inverts, and at h = 0 it is the right-hand side b.
+    adjoint and the optimal control.  Built from the forward and adjoint
+    solvers alone, it is the reference the closed-form stage is tested against.
     """
     grid = prob.grid
+    wt, dt = grid.interior_time_weights[:, None], grid.dt
     u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
     s = np.zeros_like(u)
     # a state near the float64 limit overflows here; the adjoint solve's
     # finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        s[1:-1] = stage.src_W0 * u[1:-1]
+        s[1:-1] = ((wt / dt) * stage.W0[1:-1]) * u[1:-1]
     p = adjoint_solve(s, prob.c, grid, prob.op)
     grad = np.zeros_like(u)
-    grad[1:-1] = stage.to_ctrl * p[1:-1]
+    grad[1:-1] = (dt / wt) * p[1:-1]
     grad[1:-1] += stage.Wstar[1:-1] * h[1:-1]
-    grad[:, stage.outside] = 0.0
+    grad[:, ~stage.mask] = 0.0
     return grad, u
 
 
@@ -178,69 +172,16 @@ def minimize_Jn(
     stage: StageWeights,
     g: Optional[np.ndarray],
     u0: np.ndarray,
-    h_init: Optional[np.ndarray],
     prob: LinearControlProblem,
-    tol: float = 1e-8,
-    maxit: int = 500,
 ):
-    """Preconditioned CG on the quadratic h -> J_n(h).
-
-    Both sides of the normal equations A h = -b come from ``grad_Jn``: by the
-    affine split u(h) = u_hom(h) + u_part(g, u0), A h is the gradient at
-    (g, u0) = (None, 0) and b is the gradient at h = 0.  A is preconditioned
-    by the diagonal Wstar, and CG stops once the preconditioned residual
-    r.z falls to tol**2 (b, Wstar^-1 b): the residual is relative to ||b||,
-    both in the Wstar^-1 norm over the window, so a warm start that already
-    meets it runs no iteration.  Returns (h, u, iters, converged), u being
-    the state of the returned control.  Raises NonFiniteTrajectory when
-    (b, Wstar^-1 b) or a curvature p.Ap overflows float64.
-    """
-    grid = prob.grid
-    zeros = np.zeros((grid.nt + 1, grid.nx + 1))
-
-    def apply_A(hv):
-        return grad_Jn(hv, stage, None, zeros[0], prob)[0]
-
-    def precond(v):
-        w = np.zeros_like(v)
-        w[1:-1] = np.where(stage.outside, 0.0, v[1:-1] / stage.Wstar[1:-1])
-        return w
-
-    b = grad_Jn(zeros, stage, g, u0, prob)[0]
-    with np.errstate(over="ignore"):
-        b_sq = integrate_interior(b[1:-1] * precond(b)[1:-1], grid)
-    if not np.isfinite(b_sq):
-        raise NonFiniteTrajectory("the norm of the CG right-hand side overflows float64")
-    stop = tol**2 * b_sq
-    # b = 0 is solved by h = 0 exactly, whatever the warm start
-    h = zeros.copy() if h_init is None or not b.any() else h_init.copy()
-    h[:, stage.outside] = 0.0
-    h[[0, -1]] = 0.0
-
-    r = -(apply_A(h) + b)
-    z = precond(r)
-    rz = integrate_interior(r[1:-1] * z[1:-1], grid)
-    p = z.copy()
-    iters = 0
-    while rz > stop and iters < maxit:
-        Ap = apply_A(p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pAp = integrate_interior(p[1:-1] * Ap[1:-1], grid)
-        if not np.isfinite(pAp):  # alpha = rz/inf = 0 would stall h and r for good
-            raise NonFiniteTrajectory("the CG curvature p.Ap overflows float64")
-        if pAp <= 0.0:
-            break
-        alpha = rz / pAp
-        h += alpha * p
-        r -= alpha * Ap
-        iters += 1
-        z = precond(r)
-        rz_new = integrate_interior(r[1:-1] * z[1:-1], grid)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    converged = rz <= stop
-    u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
-    return h, u, iters, converged
+    """The minimizer h of J_n and its state u: one uncontrolled solve gives z
+    and y = z/(1/n + g) in G's eigenbasis, the bits that ``solve_null_control``
+    returns for the one-stage schedule (n,)."""
+    gram = _gramian(prob)
+    free = forward_solve_linear(prob.c, g, None, u0, prob.grid, prob.op)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (free[-2, 1:-1] @ gram.to_eig) / (1.0 / stage.n + gram.g)
+    return _stage_control(gram, y, g, u0, prob)
 
 
 def terminal_l2(u: np.ndarray, grid: SpaceTimeGrid) -> float:
@@ -290,6 +231,17 @@ def _sum(sq: np.ndarray, _grid) -> float:
     return float(np.sum(sq))
 
 
+def _stage_control(gram: _Gramian, y: np.ndarray, g, u0, prob: LinearControlProblem):
+    """The control h = (powers o V y) Q^T P D^{-1/2} of the stage whose
+    G-eigenbasis coordinates are y, and its forward-solved state u."""
+    grid = prob.grid
+    h = np.zeros((grid.nt + 1, grid.nx + 1))
+    # an overflow here is reported by the forward solve's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        h[1:-1, 1:-1] = (gram.powers * (gram.vecs @ y)) @ gram.to_ctrl
+    return h, forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
+
+
 def solve_null_control(
     g: Optional[np.ndarray],
     u0: np.ndarray,
@@ -304,8 +256,8 @@ def solve_null_control(
     not exceed the best one so far.  The continuation stops after the first
     rejected stage, whose row (carrying the last accepted norms) ends
     ``stages``.  Only the last accepted stage gets h, one GEMM, and a
-    forward solve for u and the result's terminal norm.  Every row has
-    cg_iters = 0.
+    forward solve for u and the result's terminal norm (``_stage_control``,
+    as in ``minimize_Jn``).  Every row has cg_iters = 0.
     """
     grid = prob.grid
     gram = _gramian(prob)
@@ -327,12 +279,7 @@ def solve_null_control(
         )
         if not accepted:
             break
-    h = np.zeros_like(free)
-    # a datum near the float64 limit can overflow here; the forward solve's
-    # finiteness check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        h[1:-1, 1:-1] = (gram.powers * (gram.vecs @ y_best)) @ gram.to_ctrl
-    u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
+    h, u = _stage_control(gram, y_best, g, u0, prob)
     tnorm = terminal_l2(u, grid)
     success = tnorm <= schedule.tol_terminal * max(l2_norm(u0, grid), 1e-300)
     return NullControlResult(h=h, u=u, stages=stages, terminal_norm=tnorm, success=success)

@@ -62,7 +62,6 @@ class PsiFunction:
     alpha_p: float
     beta_p: float
     psi_nodes: np.ndarray
-    psi_prime_nodes: np.ndarray
     psi_inf: float
     blend_coeffs: np.ndarray  # quintic in (x - a') / (b' - a')
 
@@ -83,7 +82,7 @@ def _integrand(a: DegeneracyCoefficient):
 def build_psi(
     a: DegeneracyCoefficient, omega_prime, grid: SpaceTimeGrid
 ) -> PsiFunction:
-    """Tabulate psi and psi' at the grid nodes.
+    """Tabulate psi at the grid nodes.
 
     psi(x) = int_0^x y/a(y) dy on [0, a'); psi(b') = 0 and
     psi(x) = -int_{b'}^x y/a(y) dy on [b', 1]; quintic Hermite blend on
@@ -104,7 +103,6 @@ def build_psi(
     right_idx = np.nonzero(x > bp)[0]
 
     psi = np.empty_like(x)
-    psi_p = np.empty_like(x)
 
     acc = 0.0
     prev = 0.0
@@ -113,7 +111,6 @@ def build_psi(
         acc += val
         prev = x[i]
         psi[i] = acc
-        psi_p[i] = iy(x[i])
     v_ap, _ = quad(iy, prev, ap, limit=200, epsabs=0.0, epsrel=1e-12)
     v_ap += acc
 
@@ -124,7 +121,6 @@ def build_psi(
         acc -= val
         prev = x[i]
         psi[i] = acc
-        psi_p[i] = -iy(x[i])
 
     # quintic Hermite blend on [a', b'] in the scaled variable u = (x-a')/L
     L = bp - ap
@@ -139,8 +135,6 @@ def build_psi(
     mid_idx = np.nonzero((x >= ap) & (x <= bp))[0]
     u = (x[mid_idx] - ap) / L
     psi[mid_idx] = np.polyval(coeffs[::-1], u)
-    dcoeffs = coeffs[1:] * np.arange(1, 6)
-    psi_p[mid_idx] = np.polyval(dcoeffs[::-1], u) / L
 
     # |psi|_inf over [0,1]: both outer branches are monotone, so only the
     # blend needs dense sampling
@@ -153,7 +147,6 @@ def build_psi(
         alpha_p=ap,
         beta_p=bp,
         psi_nodes=psi,
-        psi_prime_nodes=psi_p,
         psi_inf=psi_inf,
         blend_coeffs=coeffs,
     )

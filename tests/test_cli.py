@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degctrl import build_grid
+from degctrl import build_grid, cli
 from degctrl.cli import _write_trajectory, cmd_verify, main, write_csv
 from degctrl.config import parse_config
 from degctrl.errors import ConfigError
@@ -277,6 +277,47 @@ class TestExitCodes:
         assert code == 2
         assert f"config error: hum.{key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "comment",
+            "discretization.nz",
+            "carleman.lamda",
+            "hum.tol",
+            "newton.tolerance",
+            "verify.samples",
+            "output.dir",
+            "problem.omgea",
+            "problem.a.alpah",
+            "problem.ell.slop",
+            "problem.f.coef",
+            "problem.u0.amp",
+        ],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, key):
+        # "carleman.lamda" used to run silently with the default lambda
+        cfg = write_cfg(tmp_path, {key: 50})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks", [[], ["hardy", "hardy"]])
+    def test_empty_or_repeated_checks_is_config_error(self, tmp_path, capsys, checks):
+        # [] used to exit 0 with no rows, a repeat to write the same rows twice
+        cfg = write_cfg(tmp_path, {"verify.checks": checks})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "config error: verify.checks:" in capsys.readouterr().err
+
+    def test_sweep_unknown_axis_creates_no_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--axis", "carleman.lamda",
+             "--values", "20,50", "--base", "verify", "--quiet"]
+        )
+        assert code == 2
+        assert "config error: carleman.lamda: unknown key" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["solve-forward", "null-control-nonlinear"])
     def test_one_interior_node(self, tmp_path, command):
         # nodes 0, 0.25, 1: every step is 1 x 1, and the window holds x = 0.25
@@ -418,6 +459,30 @@ class TestPipelines:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "axis,value,exit_code,metric,wall_seconds"
         assert len(lines) == 3
+
+    def test_sweep_starts_no_more_workers_than_values(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        cfg = write_cfg(tmp_path)
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path / "sw"), "--axis", "carleman.s",
+             "--values", "1,2", "--base", "verify", "--jobs", "64", "--quiet"]
+        )
+        assert code == 0 and sizes == [2]
 
 
 def _csv_seeds(path):

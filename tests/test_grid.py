@@ -1,11 +1,22 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import degctrl
 from degctrl import build_grid, integrate_space, integrate_spacetime_logweight
 from degctrl.grid import LogWeight, integrate_interior, l2_norm, log_norm_sq, safe_log
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(degctrl.__path__)))
+def test_every_public_name_resolves(name):
+    # a stale __all__ entry makes `from degctrl.<module> import *` raise
+    module = importlib.import_module(f"degctrl.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
 
 
 class TestGrid:
@@ -113,18 +124,25 @@ class TestLogWeightQuadrature:
         lw[3, 2] = math.inf
         assert integrate_spacetime_logweight(lw, v, g) == want
 
-    @pytest.mark.parametrize("bad", ["nan_weight", "nan_value", "negative_value"])
+    @pytest.mark.parametrize(
+        "bad", ["nan_weight", "nan_value", "negative_value", "inf_value", "inf_weight"]
+    )
     def test_invalid_inputs_raise(self, bad):
+        # an infinite term used to give NaN
         g = build_grid(8, 8, 1.0)
         lw, v = np.zeros((9, 9)), np.ones((9, 9))
         if bad == "nan_weight":
             lw[2, 3] = math.nan
         elif bad == "nan_value":
             v[2, 3] = math.nan
-        else:
+        elif bad == "negative_value":
             v[2, 3] = -1e-300
-        match = "nonnegative" if bad == "negative_value" else "NaN"
-        with pytest.raises(ValueError, match=match):
+        elif bad == "inf_weight":
+            lw[2, 3] = math.inf
+        else:
+            v[2, 3] = math.inf
+        match = {"nan_weight": "NaN", "nan_value": "NaN", "negative_value": "nonnegative"}
+        with pytest.raises(ValueError, match=match.get(bad, "infinite")):
             integrate_spacetime_logweight(lw, v, g)
 
 
