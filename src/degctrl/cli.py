@@ -64,7 +64,10 @@ def write_csv(path: str, header, rows) -> None:
 
 def _resolve_out(cfg: ExperimentConfig, arg_out) -> str:
     out = arg_out or cfg.out_dir or os.environ.get("DNC_OUT_DIR") or "out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(out, f"cannot make the output directory: {exc.strerror}") from exc
     return out
 
 

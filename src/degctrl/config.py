@@ -9,7 +9,7 @@ every block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -228,6 +228,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not checks or len(set(checks)) < len(checks):
         raise ConfigError("verify.checks", f"must list distinct checks, got {checks}")
     out = merged["output"]["directory"]
+    if not (out is None or isinstance(out, str)):
+        raise ConfigError("output.directory", f"expected a string or null, got {out!r}")
 
     return ExperimentConfig(
         raw=raw,
@@ -247,10 +249,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(path, "config file not found") from exc
+    except OSError as exc:
+        raise ConfigError(path, f"cannot read the config file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"the config file is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
     return parse_config(raw)

@@ -240,9 +240,11 @@ class LogWeight:
         if values.shape != self.shape:
             raise ValueError(f"expected arrays of shape {self.shape}")
         vv = values[1 : self.shape[0] - 1].ravel()
+        top = float(vv.max())
         # NaN and negative values (neither counts as > 0, so the shift below
-        # would not see them) are refused under the joint shift
-        if not self._nan and vv.min() >= 0.0:
+        # would not see them) are refused under the joint shift, and so is an
+        # infinite value, which would meet a -inf weight's 0 in the dot
+        if not self._nan and vv.min() >= 0.0 and top < math.inf:
             # shift by the largest log-weight where values > 0, so that no
             # weight on a zero value sets it; the cap keeps those (+inf
             # too) finite, and a -inf weight's entry is 0
@@ -252,7 +254,7 @@ class LogWeight:
                 m = float(self._lw.max(where=vv > 0.0, initial=-math.inf))
             if math.isfinite(m):  # -inf where every value is 0
                 S = float(np.dot(vv, self._exp_table(m)))
-                if max(float(vv.max()), 1.0) * UNDERFLOW_FLOOR <= S < math.inf:
+                if max(top, 1.0) * UNDERFLOW_FLOOR <= S < math.inf:
                     return math.log(S) + m
         # the joint shift by the max of logw + log(values): exact where
         # underflowed table entries could matter, and the one path for NaN,

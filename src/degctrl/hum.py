@@ -20,15 +20,17 @@ y = V^T q, a stage's norms need neither h nor u: ||h||^2 = sum g y^2,
 u(t_m) = V y/n, and row nt is one modal step on from row m, u_free(t_nt)
 less beta o V (g o y) in D^{1/2} Q coordinates.  So ``solve_null_control``
 builds h and solves for u only once, for the stage it returns.  G is built
-and diagonalized once per problem, on the eigenbasis the modal step kernel
-caches, and serves every stage and every Newton step.  ``minimize_Jn`` is one
-stage of it, and ``grad_Jn`` the independent reference it is tested against.
+and diagonalized once per problem (``LinearControlProblem.gramian``, on the
+eigenbasis of the modal step kernel) and serves every stage and every Newton
+step.  ``minimize_Jn`` is the one-stage continuation, and ``grad_Jn`` the
+independent reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PenaltySchedule:
     ns: tuple = tuple(10.0**k for k in range(7))
     tol_terminal: float = 1e-2
@@ -76,18 +78,38 @@ class _Gramian:
     to_ctrl: np.ndarray  # Q^T P D^{-1/2}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearControlProblem:
     """Frozen context for the linear control solves: grid, discrete operator,
-    potential c (a number) and control window."""
+    potential c (a number) and control window.  The modal Gramian derives
+    from exactly these, so a problem made by dataclasses.replace builds its own."""
 
     grid: SpaceTimeGrid
     op: DegenerateOperator
     c: float
     omega: tuple
-    # the modal Gramian, built by the first control solve; like the step
-    # kernel of DegenerateOperator, not copied by dataclasses.replace
-    gramian: Optional[_Gramian] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def gramian(self) -> _Gramian:
+        """The modal Gramian, built by the first control solve."""
+        grid = self.grid
+        basis = step_eigenbasis(self.op, grid, self.c)
+        q, root, wt = basis.q, basis.root, grid.interior_time_weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = basis.decay ** np.arange(grid.nt - 1, 0, -1)[:, None]
+            K = B.T @ ((grid.dt**2 / wt)[:, None] * B)
+        if not np.isfinite(K).all():  # a step that amplifies some mode by far more than 1
+            raise NonFiniteTrajectory("the modal Gramian overflows float64")
+        window = window_mask(grid, self.omega)[1:-1]
+        g, vecs = np.linalg.eigh((q[window].T @ q[window]) * K)
+        return _Gramian(
+            to_eig=(root[:, None] * q) @ vecs,
+            decay=basis.decay,
+            vecs=vecs,
+            g=np.maximum(g, 0.0),
+            powers=-(grid.dt / wt)[:, None] * B,
+            to_ctrl=q.T * (window / root),
+        )
 
 
 @dataclass
@@ -174,43 +196,15 @@ def minimize_Jn(
     u0: np.ndarray,
     prob: LinearControlProblem,
 ):
-    """The minimizer h of J_n and its state u: one uncontrolled solve gives z
-    and y = z/(1/n + g) in G's eigenbasis, the bits that ``solve_null_control``
-    returns for the one-stage schedule (n,)."""
-    gram = _gramian(prob)
-    free = forward_solve_linear(prob.c, g, None, u0, prob.grid, prob.op)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (free[-2, 1:-1] @ gram.to_eig) / (1.0 / stage.n + gram.g)
-    return _stage_control(gram, y, g, u0, prob)
+    """The minimizer h of J_n and its state u: the control and state that
+    ``solve_null_control`` returns for the one-stage schedule (n,), so n
+    must be at least 1."""
+    res = solve_null_control(g, u0, PenaltySchedule(ns=(stage.n,)), prob)
+    return res.h, res.u
 
 
 def terminal_l2(u: np.ndarray, grid: SpaceTimeGrid) -> float:
     return l2_norm(u[-1], grid)
-
-
-def _gramian(prob: LinearControlProblem) -> _Gramian:
-    """The modal Gramian of prob, built on first use and cached on prob."""
-    if prob.gramian is not None:
-        return prob.gramian
-    grid = prob.grid
-    basis = step_eigenbasis(prob.op, grid.dt, prob.c)
-    q, root, wt = basis.q, basis.root, grid.interior_time_weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        B = basis.decay ** np.arange(grid.nt - 1, 0, -1)[:, None]
-        K = B.T @ ((grid.dt**2 / wt)[:, None] * B)
-    if not np.isfinite(K).all():  # a step that amplifies some mode by far more than 1
-        raise NonFiniteTrajectory("the modal Gramian overflows float64")
-    window = window_mask(grid, prob.omega)[1:-1]
-    g, vecs = np.linalg.eigh((q[window].T @ q[window]) * K)
-    prob.gramian = _Gramian(
-        to_eig=(root[:, None] * q) @ vecs,
-        decay=basis.decay,
-        vecs=vecs,
-        g=np.maximum(g, 0.0),
-        powers=-(grid.dt / wt)[:, None] * B,
-        to_ctrl=q.T * (window / root),
-    )
-    return prob.gramian
 
 
 def _stage_norms(gram: _Gramian, z: np.ndarray, w_free: np.ndarray, n: float):
@@ -221,25 +215,11 @@ def _stage_norms(gram: _Gramian, z: np.ndarray, w_free: np.ndarray, n: float):
     with np.errstate(over="ignore", invalid="ignore"):
         y = z / (1.0 / n + gram.g)
         w = w_free - gram.decay * (gram.vecs @ (gram.g * y))
-        logs = [log_norm_sq(v, None, _sum) for v in (w, np.sqrt(gram.g) * y, y / n)]
+        vs = (w, np.sqrt(gram.g) * y, y / n)
+        logs = [log_norm_sq(v, None, lambda sq, _: float(np.sum(sq))) for v in vs]
     if not all(v < math.inf for v in logs):  # also catches NaN
         raise NonFiniteTrajectory(f"non-finite norms of penalty stage n={n:g}")
     return y, math.exp(0.5 * logs[0]), logs[1], logs[2]
-
-
-def _sum(sq: np.ndarray, _grid) -> float:
-    return float(np.sum(sq))
-
-
-def _stage_control(gram: _Gramian, y: np.ndarray, g, u0, prob: LinearControlProblem):
-    """The control h = (powers o V y) Q^T P D^{-1/2} of the stage whose
-    G-eigenbasis coordinates are y, and its forward-solved state u."""
-    grid = prob.grid
-    h = np.zeros((grid.nt + 1, grid.nx + 1))
-    # an overflow here is reported by the forward solve's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        h[1:-1, 1:-1] = (gram.powers * (gram.vecs @ y)) @ gram.to_ctrl
-    return h, forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
 
 
 def solve_null_control(
@@ -255,12 +235,12 @@ def solve_null_control(
     (``_stage_norms``).  Each stage is accepted when its terminal norm does
     not exceed the best one so far.  The continuation stops after the first
     rejected stage, whose row (carrying the last accepted norms) ends
-    ``stages``.  Only the last accepted stage gets h, one GEMM, and a
-    forward solve for u and the result's terminal norm (``_stage_control``,
-    as in ``minimize_Jn``).  Every row has cg_iters = 0.
+    ``stages``.  Only the last accepted stage gets h = (powers o V y)
+    Q^T P D^{-1/2}, one GEMM, and a forward solve for u and the result's
+    terminal norm.  Every row has cg_iters = 0.
     """
     grid = prob.grid
-    gram = _gramian(prob)
+    gram = prob.gramian
     free = forward_solve_linear(prob.c, g, None, u0, grid, prob.op)
     z = free[-2, 1:-1] @ gram.to_eig
     w_free = gram.vecs @ (free[-1, 1:-1] @ gram.to_eig)  # row nt, D^{1/2} Q coordinates
@@ -279,7 +259,11 @@ def solve_null_control(
         )
         if not accepted:
             break
-    h, u = _stage_control(gram, y_best, g, u0, prob)
+    h = np.zeros((grid.nt + 1, grid.nx + 1))
+    # an overflow here is reported by the forward solve's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        h[1:-1, 1:-1] = (gram.powers * (gram.vecs @ y_best)) @ gram.to_ctrl
+    u = forward_solve_linear(prob.c, g, h, u0, grid, prob.op)
     tnorm = terminal_l2(u, grid)
     success = tnorm <= schedule.tol_terminal * max(l2_norm(u0, grid), 1e-300)
     return NullControlResult(h=h, u=u, stages=stages, terminal_norm=tnorm, success=success)

@@ -7,8 +7,8 @@ the forward map (discretize-then-optimize), which the control iterations
 rely on; the two are one implicit-Euler march, run forward or backward.
 
 The potential c of the linear solvers is a number (every built-in f gives
-one).  It gets one of two step kernels, built once per (dt, c) and cached
-on the operator, so a whole control solve builds it once:
+one).  It gets one of two step kernels, kept on the grid per (op, c) by
+``SpaceTimeGrid.derived``, so a whole control solve builds it once:
 
 - Modal, for nx <= MODAL_MAX_NX.  Self-adjointness makes D^{1/2} M D^{-1/2}
   symmetric for the step matrix M = I/dt - L + c I, D the dual widths, so
@@ -24,16 +24,14 @@ The Picard stepper of the nonlinear solve lags ell(int u), Newton-linearizes
 f and iterates in place in the trajectory row: per iterate, one vecdot for
 int u (the bits of integrate_space), one call each of ell, f and df/du, and
 one dgtsv, since the bands change with every iterate.  One max|x| is both
-the finiteness test and the scale of the increment.  scipy's LAPACK
-wrappers reject small systems, dgttrf one or two interior nodes (nx <= 3)
-and dgtsv one (nx = 2): such steps go through dgtsv, and a 1 x 1 step is a
-division.
+the finiteness test and the scale of the increment.  scipy's dgtsv wrapper
+rejects one interior node (nx = 2), whose step is a division.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,7 +65,7 @@ MAXIT_PICARD = 50
 MODAL_MAX_NX = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegenerateOperator:
     """Tridiagonal representation of u -> (a u_x)_x on interior nodes.
 
@@ -80,11 +78,6 @@ class DegenerateOperator:
     upper: np.ndarray
     a_mid: np.ndarray
     dual: np.ndarray  # interior dual-cell widths, length nx-1
-    # (key, kernel) of the last step kernel built for this operator, see
-    # _step_kernel; a one-entry cache, not copied by dataclasses.replace
-    step_kernel: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 def assemble_degenerate_operator(
@@ -108,6 +101,8 @@ def assemble_degenerate_operator(
     upper[:-1] = c_right[:-1] / dual[:-1]
     lower[0] = 0.0
     upper[-1] = 0.0
+    for band in (lower, diag, upper):  # the inputs of the kept step kernels
+        band.setflags(write=False)
     return DegenerateOperator(
         lower=lower, diag=diag, upper=upper, a_mid=a_mid, dual=dual
     )
@@ -147,10 +142,8 @@ def _solve_bands(bands, rhs: np.ndarray) -> np.ndarray:
 
 def _factor(bands):
     """rhs -> M^{-1} rhs for the step matrix M of these bands (rhs may be
-    overwritten): dgttrf factors and dgttrs, or _solve_bands below three
-    interior nodes, which scipy's dgttrf wrapper rejects."""
-    if bands[1].size < 3:
-        return lambda rhs: _solve_bands(bands, rhs)
+    overwritten): dgttrf factors and dgttrs.  Only nx > MODAL_MAX_NX gets
+    here, far above the three interior nodes that scipy's dgttrf needs."""
     *lu, info = dgttrf(*bands)
     _raise_if_singular(info)
     return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
@@ -189,28 +182,29 @@ def _modal_factors(op: DegenerateOperator, dt: float, bands) -> _ModalFactors:
     )
 
 
-def step_eigenbasis(op: DegenerateOperator, dt: float, c: float) -> _ModalFactors:
-    """The eigenbasis of the step matrix of a number c: the cached modal
+def step_eigenbasis(op: DegenerateOperator, grid: SpaceTimeGrid, c: float) -> _ModalFactors:
+    """The eigenbasis of the step matrix of a number c: the kept modal
     kernel for nx <= MODAL_MAX_NX, a fresh eigh_tridiagonal above (which
-    leaves the cached LAPACK kernel in place)."""
-    kernel = _step_kernel(op, dt, c)
+    leaves the kept LAPACK kernel in place)."""
+    kernel = _step_kernel(op, grid, c)
     if isinstance(kernel, _ModalFactors):
         return kernel
-    return _modal_factors(op, dt, _step_bands(op, dt, 1.0, c))
+    return _modal_factors(op, grid.dt, _step_bands(op, grid.dt, 1.0, c))
 
 
-def _step_kernel(op: DegenerateOperator, dt: float, c: float):
+def _step_kernel(op: DegenerateOperator, grid: SpaceTimeGrid, c: float):
     """The step kernel of a number c: _ModalFactors for nx <= MODAL_MAX_NX,
-    the _factor solve above.  It is cached on op, keyed by (dt, float(c)),
-    so a control solve builds it once for all its forward and adjoint
-    solves, and a c that is not a number raises TypeError.  Raises
-    LinAlgError for a singular step matrix."""
-    key = (dt, float(c))
-    if op.step_kernel is None or op.step_kernel[0] != key:
-        bands = _step_bands(op, dt, 1.0, c)
+    the _factor solve above.  It is kept on the grid per (op, float(c)), so
+    a control solve builds it once for all its forward and adjoint solves,
+    and a c that is not a number raises TypeError.  Raises LinAlgError for
+    a singular step matrix."""
+
+    def build():
+        bands = _step_bands(op, grid.dt, 1.0, c)
         modal = op.diag.size + 1 <= MODAL_MAX_NX
-        op.step_kernel = (key, _modal_factors(op, dt, bands) if modal else _factor(bands))
-    return op.step_kernel[1]
+        return _modal_factors(op, grid.dt, bands) if modal else _factor(bands)
+
+    return grid.derived(("step_kernel", float(c)), op, build)
 
 
 def _modal_march(m: _ModalFactors, b: np.ndarray) -> np.ndarray:
@@ -240,7 +234,7 @@ def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
     rows = slice(None, 0, -1) if backward else slice(1, None)
     out = traj[rows, 1:-1]
     srcs = [s[rows, 1:-1] for s in sources if s is not None]
-    kernel = _step_kernel(op, dt, c)
+    kernel = _step_kernel(op, grid, c)
     # values beyond float64 are left to the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(kernel, _ModalFactors):

@@ -20,11 +20,11 @@ def make_fields(a, grid, s=1.0, lam=2.0, omega=OMEGA):
     return build_weight_fields(CarlemanParams(s=s, lam=lam), a, omega, grid)
 
 
-def make_control_problem(nx=64, nt=64):
+def make_control_problem(nx=64, nt=64, c=1.0, omega=OMEGA):
     """Default linear benchmark: a = sqrt(x), c = 1, omega = (0.3, 0.8)."""
     grid = build_grid(nx, nt, 1.0)
     op = assemble_degenerate_operator(power_coefficient(0.5), grid)
-    return LinearControlProblem(grid=grid, op=op, c=1.0, omega=OMEGA)
+    return LinearControlProblem(grid=grid, op=op, c=c, omega=omega)
 
 
 def make_nonlinear_problem(grid, amplitude=0.1):

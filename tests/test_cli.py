@@ -107,6 +107,36 @@ class TestExitCodes:
         assert code == 2
         assert "newton.tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directory", [5, True, ["a"], {"x": 1}])
+    def test_non_string_output_directory_is_config_error(self, tmp_path, capsys, directory):
+        # os.makedirs used to raise TypeError, which exits 1
+        sizes = {"discretization.nx": 8, "discretization.nt": 8}
+        cfg = write_cfg(tmp_path, {**sizes, "output.directory": directory})
+        assert main(["solve-forward", "--config", cfg, "--quiet"]) == 2
+        assert "output.directory" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, {**sizes, "output.directory": str(tmp_path / "o")})
+        assert main(["solve-forward", "--config", cfg, "--quiet"]) == 0
+        assert (tmp_path / "o").is_dir()
+
+    @pytest.mark.parametrize("bad", ["config_is_directory", "config_not_utf8", "out_is_file"])
+    def test_unusable_path_is_config_error(self, tmp_path, capsys, bad):
+        # these used to escape as IsADirectoryError, UnicodeDecodeError and
+        # FileExistsError, which exit 1
+        cfg = write_cfg(tmp_path, {"discretization.nx": 8, "discretization.nt": 8})
+        out = tmp_path / "o"
+        path = {"config_is_directory": tmp_path, "config_not_utf8": tmp_path / "bad.json",
+                "out_is_file": out}[bad]
+        if bad == "config_is_directory":
+            cfg = str(tmp_path)
+        elif bad == "config_not_utf8":
+            path.write_bytes(b"\xff\xfe{")
+            cfg = str(path)
+        else:
+            out.write_text("")
+        assert main(["solve-forward", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+
     def test_newton_divergence_is_solver_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 200.0})
         code = main(

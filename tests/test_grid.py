@@ -125,7 +125,9 @@ class TestLogWeightQuadrature:
         assert integrate_spacetime_logweight(lw, v, g) == want
 
     @pytest.mark.parametrize(
-        "bad", ["nan_weight", "nan_value", "negative_value", "inf_value", "inf_weight"]
+        "bad",
+        ["nan_weight", "nan_value", "negative_value", "inf_value", "inf_weight",
+         "inf_value_zero_weight"],
     )
     def test_invalid_inputs_raise(self, bad):
         # an infinite term used to give NaN
@@ -139,6 +141,9 @@ class TestLogWeightQuadrature:
             v[2, 3] = -1e-300
         elif bad == "inf_weight":
             lw[2, 3] = math.inf
+        elif bad == "inf_value_zero_weight":
+            # inf * 0 in the fast path's dot used to warn before this raised
+            lw[2, 3], v[2, 3] = -math.inf, math.inf
         else:
             v[2, 3] = math.inf
         match = {"nan_weight": "NaN", "nan_value": "NaN", "negative_value": "nonnegative"}

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -14,7 +15,7 @@ from degctrl import (
 from degctrl import NonFiniteTrajectory, hum, pde
 from degctrl.cli import _control_problem
 from degctrl.config import load_config
-from degctrl.grid import integrate_interior, integrate_space, l2_norm, log_norm_sq
+from degctrl.grid import integrate_interior, integrate_space, l2_norm, log_norm_sq, window_mask
 from degctrl.newton import local_null_control
 from tests.conftest import make_control_problem
 
@@ -39,6 +40,30 @@ class TestSchedule:
     def test_small_first_penalty_rejected(self):
         with pytest.raises(ValueError):
             PenaltySchedule(ns=(0.5, 10.0))
+
+
+class TestFrozenProblem:
+    def test_inputs_frozen_and_replace_builds_afresh(self):
+        # the Gramian was cached on the problem keyed by nothing: after
+        # prob.omega = (0.1, 0.5) the old window's control came back
+        prob, sched = make_control_problem(32, 32), PenaltySchedule()
+        u0 = _sine_datum(prob.grid)
+        solve_null_control(None, u0, sched, prob)  # builds the Gramian and the step kernel
+        for obj, name, value in (
+            (prob, "c", 3.0), (prob, "omega", (0.1, 0.5)), (sched, "ns", (0.0,)),
+            (prob.op, "diag", 2.0 * prob.op.diag),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        with pytest.raises(ValueError, match="read-only"):  # the kept kernel's inputs
+            prob.op.diag *= 2.0
+        for change in ({"omega": (0.1, 0.5)}, {"c": 3.0}):
+            got = solve_null_control(None, u0, sched, dataclasses.replace(prob, **change))
+            fresh = make_control_problem(32, 32, **change)
+            want = solve_null_control(None, u0, sched, fresh)
+            assert np.array_equal(got.h, want.h) and np.array_equal(got.u, want.u)
+            assert got.stages == want.stages and got.terminal_norm == want.terminal_norm
+            assert not got.h[:, ~window_mask(fresh.grid, fresh.omega)].any()
 
 
 class TestStageWeights:
@@ -282,7 +307,7 @@ class TestClosedFormStageNorms:
 
     def test_non_finite_stage_raises(self, bench16):
         # y = z/(1/n + g) overflows on the modes that G barely observes
-        gram = hum._gramian(bench16)
+        gram = bench16.gramian
         z = np.full(gram.g.size, 1e308)
         with pytest.raises(NonFiniteTrajectory, match="penalty stage n=1e"):
             hum._stage_norms(gram, z, np.zeros_like(z), 1e6)
@@ -333,7 +358,7 @@ class TestGramian:
         prob = make_control_problem(k, k)
         u0 = _sine_datum(prob.grid)
         res = solve_null_control(None, u0, PenaltySchedule(), prob)
-        gram = hum._gramian(prob)
+        gram = prob.gramian
         free = pde.forward_solve_linear(prob.c, None, None, u0, prob.grid, prob.op)
         z = free[-2, 1:-1] @ gram.to_eig
         for st in res.stages:

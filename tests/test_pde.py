@@ -227,43 +227,38 @@ def _kernel_pairs(nx, nt):
         )
         for term in (None, terminal)
     ]
-    return op, pairs
+    return _kept_kernel(grid, op, c), pairs
 
 
-def _cached_kernel(op):
-    return None if op.step_kernel is None else op.step_kernel[1]
+def _kept_kernel(grid, op, c):
+    """The step kernel that grid keeps for (op, c), or None; reads the
+    grid's table without adding to it."""
+    hit = grid._derived.get(("step_kernel", float(c)))
+    return hit[1] if hit is not None and hit[0] is op else None
 
 
 class TestStepKernel:
     """The modal and the factored LAPACK kernels against a per-row banded
-    solve.  The potential c is a number, whose kernel is cached."""
+    solve.  The potential c is a number, whose kernel the grid keeps."""
 
     @pytest.mark.parametrize(
-        "nx, nt, modal_max",
-        [
-            pytest.param(MODAL_MAX_NX + 32, 8, MODAL_MAX_NX, id="constant_above_cutoff"),
-            # scipy's dgttrf rejects one or two interior nodes, dgtsv one
-            pytest.param(2, 6, 1, id="constant_one_node_above_cutoff"),
-            pytest.param(3, 6, 2, id="constant_two_nodes_above_cutoff"),
-        ],
+        "nx, nt", [pytest.param(MODAL_MAX_NX + 32, 8, id="constant_above_cutoff")]
     )
-    def test_bit_identical_to_per_row_banded_solve(self, monkeypatch, nx, nt, modal_max):
-        monkeypatch.setattr(pde, "MODAL_MAX_NX", modal_max)
-        op, pairs = _kernel_pairs(nx, nt)
-        kernel = _cached_kernel(op)
+    def test_bit_identical_to_per_row_banded_solve(self, nx, nt):
+        kernel, pairs = _kernel_pairs(nx, nt)
         assert kernel is not None and not isinstance(kernel, _ModalFactors)  # LAPACK ran
         for got, want in pairs:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("nx, nt", [(24, 20), (64, 64), (2, 6)])
     def test_modal_kernel_matches_per_row_banded_solve(self, nx, nt):
-        op, pairs = _kernel_pairs(nx, nt)
-        assert isinstance(_cached_kernel(op), _ModalFactors)
+        kernel, pairs = _kernel_pairs(nx, nt)
+        assert isinstance(kernel, _ModalFactors)
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_factorization_per_control_solve(self, monkeypatch):
-        # above the modal cut-off the dgttrf factors are cached on the operator
+        # above the modal cut-off the grid keeps the dgttrf factors per c
         calls = []
 
         def counted(*args, **kwargs):
@@ -278,11 +273,13 @@ class TestStepKernel:
         res = solve_null_control(None, u0, PenaltySchedule(ns=(1.0, 10.0)), prob)
         assert len(res.stages) == 2  # three forward solves
         assert len(calls) == 1
-        # a new c replaces the cached factors
+        # a new c gets its own factors, and the first c keeps its own
         got = forward_solve_linear(0.3, None, None, u0, grid, prob.op)
         assert len(calls) == 2
         assert np.array_equal(got, _reference_forward(0.3, None, None, u0, grid, prob.op))
-        assert prob.op.step_kernel[0] == (grid.dt, 0.3)
+        assert _kept_kernel(grid, prob.op, 0.3) is not None
+        solve_null_control(None, u0, PenaltySchedule(ns=(1.0, 10.0)), prob)
+        assert len(calls) == 2
 
     def test_table_potential_is_type_error(self):
         # c is one number; a (nt+1, nx+1) table fails before any solve
@@ -293,7 +290,7 @@ class TestStepKernel:
             forward_solve_linear(table, None, None, np.sin(np.pi * grid.x), grid, op)
         with pytest.raises(TypeError):
             adjoint_solve(np.ones_like(table), table, grid, op)
-        assert op.step_kernel is None
+        assert not any(key[0] == "step_kernel" for key in grid._derived)
 
     def test_singular_step_matrix(self):
         # with L = 0 and c = -1/dt the step matrix I/dt - L + diag(c) vanishes;
