@@ -8,7 +8,8 @@ Subcommands
     sweep                    repeat a base pipeline along one config axis
 
 Exit codes: 0 success, 1 assertion failure (a produced quantity missed its
-target), 2 configuration error, 3 solver divergence.
+target), 2 configuration error (an output path that cannot be written
+included), 3 solver divergence or a singular step matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .config import ExperimentConfig, load_config, parse_config
 from .errors import (
@@ -55,25 +57,37 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _open_out(path: str):
+    """path opened for writing; a path that cannot be is a ConfigError."""
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(path, f"cannot write the output file: {exc.strerror}") from exc
+
+
 def write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _resolve_out(cfg: ExperimentConfig, arg_out) -> str:
-    out = arg_out or cfg.out_dir or os.environ.get("DNC_OUT_DIR") or "out"
+def _make_out_dir(out: str) -> None:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(out, f"cannot make the output directory: {exc.strerror}") from exc
+
+
+def _resolve_out(cfg: ExperimentConfig, arg_out) -> str:
+    out = arg_out or cfg.out_dir or os.environ.get("DNC_OUT_DIR") or "out"
+    _make_out_dir(out)
     return out
 
 
 def _write_summary(out: str, cfg: ExperimentConfig, command: str, payload: dict) -> None:
     doc = {"command": command, "config": cfg.raw, **payload}
-    with open(os.path.join(out, "summary.json"), "w") as fh:
+    with _open_out(os.path.join(out, "summary.json")) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -91,7 +105,7 @@ def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig)
     xs = cfg.grid.x.tolist()
     level = "".join([f"%s{x!r},%r\n" for x in xs])
     args = [None] * (2 * len(xs))
-    with open(os.path.join(out, name), "w", newline="\n") as fh:
+    with _open_out(os.path.join(out, name)) as fh:
         fh.write("t,x,u\n")
         for tj, row in zip(cfg.grid.t.tolist(), u):
             args[::2] = [repr(tj) + ","] * len(xs)
@@ -264,7 +278,7 @@ def _set_path(raw: dict, dotted: str, value) -> dict:
 def _sweep_one(args):
     raw, base, value, out, quiet = args
     cfg = parse_config(raw)
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     code = _SWEEP_BASES[base](cfg, out, quiet)
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
@@ -355,7 +369,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PicardDivergence, NewtonDivergence, NonFiniteTrajectory) as exc:
+    except (PicardDivergence, NewtonDivergence, NonFiniteTrajectory, LinAlgError) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (AdmissibilityFail, ZeroDenominator) as exc:

@@ -9,8 +9,11 @@ class ConfigError(DegctrlError):
     """Invalid or inconsistent experiment configuration."""
 
     def __init__(self, key: str, message: str):
-        self.key = key
+        self.key, self.message = key, message
         super().__init__(f"{key}: {message}")
+
+    def __reduce__(self):  # a sweep worker's error pickles into the parent
+        return type(self), (self.key, self.message)
 
 
 class WeakDegeneracyViolated(DegctrlError):

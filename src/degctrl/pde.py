@@ -7,18 +7,15 @@ the forward map (discretize-then-optimize), which the control iterations
 rely on; the two are one implicit-Euler march, run forward or backward.
 
 The potential c of the linear solvers is a number (every built-in f gives
-one).  It gets one of two step kernels, kept on the grid per (op, c) by
-``SpaceTimeGrid.derived``, so a whole control solve builds it once:
-
-- Modal, for nx <= MODAL_MAX_NX.  Self-adjointness makes D^{1/2} M D^{-1/2}
-  symmetric for the step matrix M = I/dt - L + c I, D the dual widths, so
-  one eigh_tridiagonal diagonalizes every step.  A solve is then one GEMM
-  into modal coordinates, a per-mode doubling scan of the recurrence
-  w_j = w_{j-1}/(dt mu) + ..., and one GEMM back.  Results agree with the
-  LAPACK kernel to about 1e-13 relative (not bit for bit).  Its eigenbasis
-  also carries the control Gramian of hum (``step_eigenbasis``).
-- LAPACK above: dgttrs per step, with the step matrix factored once by
-  dgttrf.
+one).  Its step matrix M = I/dt - L + c I is self-adjoint in the dual-cell
+inner product, so D^{1/2} M D^{-1/2} is symmetric for D the dual widths, and
+one eigh_tridiagonal diagonalizes every step.  The grid keeps that eigenbasis
+per (op, c) through ``SpaceTimeGrid.derived`` (``step_eigenbasis``), so a
+control solve builds it once for its forward and adjoint solves and for the
+control Gramian of hum.  A solve is one GEMM into modal coordinates, a
+per-mode doubling scan of the recurrence w_j = w_{j-1}/(dt mu) + ..., and one
+GEMM back: O(nt nx^2) work, against O(nt nx) for a banded solve per step,
+so on grids from about nx = 160 it is the slower of the two (README).
 
 The Picard stepper of the nonlinear solve lags ell(int u), Newton-linearizes
 f and iterates in place in the trajectory row: per iterate, one vecdot for
@@ -36,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv
 
 from .coeffs import DegeneracyCoefficient, ProblemData
 from .errors import NonFiniteTrajectory, PicardDivergence
@@ -54,16 +51,6 @@ __all__ = [
 
 TOL_PICARD = 1e-10
 MAXIT_PICARD = 50
-
-# Largest nx served by the modal kernel.  Its two GEMMs cost O(nt nx^2)
-# against the O(nt nx) of one dgttrs per step, so it loses on wide grids.
-# Forward/adjoint solve at nx = nt, constant c, µs, LAPACK -> modal (min of
-# 21, one BLAS thread, 2-vCPU Xeon): 64: 238/226 -> 79/76; 128: 615/569 ->
-# 358/341; 160: 803/780 -> 614/608; 192: 1067/1085 -> 1346/1255;
-# 256: 1713/1725 -> 2928/2631.  The cut-off sits below the crossover
-# (between 160 and 192) to leave room for slower BLAS builds.
-MODAL_MAX_NX = 128
-
 
 @dataclass(frozen=True)
 class DegenerateOperator:
@@ -140,15 +127,6 @@ def _solve_bands(bands, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _factor(bands):
-    """rhs -> M^{-1} rhs for the step matrix M of these bands (rhs may be
-    overwritten): dgttrf factors and dgttrs.  Only nx > MODAL_MAX_NX gets
-    here, far above the three interior nodes that scipy's dgttrf needs."""
-    *lu, info = dgttrf(*bands)
-    _raise_if_singular(info)
-    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
-
-
 @dataclass(frozen=True)
 class _ModalFactors:
     """Eigenbasis of the step matrix M = I/dt - L + c I.
@@ -167,42 +145,26 @@ class _ModalFactors:
     root: np.ndarray  # D^{1/2}, as the diagonal
 
 
-def _modal_factors(op: DegenerateOperator, dt: float, bands) -> _ModalFactors:
-    _, diag, upper = bands
-    root = np.sqrt(op.dual)
-    mu, q = eigh_tridiagonal(diag, upper * (root[:-1] / root[1:]))
-    if (mu == 0.0).any():
-        raise np.linalg.LinAlgError("singular step matrix (zero eigenvalue)")
-    return _ModalFactors(
-        to_modal=root[:, None] * q / mu,
-        decay=1.0 / (dt * mu),
-        to_nodal=q.T / root,
-        q=q,
-        root=root,
-    )
-
-
 def step_eigenbasis(op: DegenerateOperator, grid: SpaceTimeGrid, c: float) -> _ModalFactors:
-    """The eigenbasis of the step matrix of a number c: the kept modal
-    kernel for nx <= MODAL_MAX_NX, a fresh eigh_tridiagonal above (which
-    leaves the kept LAPACK kernel in place)."""
-    kernel = _step_kernel(op, grid, c)
-    if isinstance(kernel, _ModalFactors):
-        return kernel
-    return _modal_factors(op, grid.dt, _step_bands(op, grid.dt, 1.0, c))
-
-
-def _step_kernel(op: DegenerateOperator, grid: SpaceTimeGrid, c: float):
-    """The step kernel of a number c: _ModalFactors for nx <= MODAL_MAX_NX,
-    the _factor solve above.  It is kept on the grid per (op, float(c)), so
-    a control solve builds it once for all its forward and adjoint solves,
-    and a c that is not a number raises TypeError.  Raises LinAlgError for
-    a singular step matrix."""
+    """The step kernel of a number c: the eigenbasis of its step matrix,
+    kept on the grid per (op, float(c)), so a control solve builds it once
+    for all its forward and adjoint solves and its Gramian, and a c that is
+    not a number raises TypeError.  Raises LinAlgError for a singular step
+    matrix."""
 
     def build():
-        bands = _step_bands(op, grid.dt, 1.0, c)
-        modal = op.diag.size + 1 <= MODAL_MAX_NX
-        return _modal_factors(op, grid.dt, bands) if modal else _factor(bands)
+        _, diag, upper = _step_bands(op, grid.dt, 1.0, c)
+        root = np.sqrt(op.dual)
+        mu, q = eigh_tridiagonal(diag, upper * (root[:-1] / root[1:]))
+        if (mu == 0.0).any():
+            raise np.linalg.LinAlgError("singular step matrix (zero eigenvalue)")
+        return _ModalFactors(
+            to_modal=root[:, None] * q / mu,
+            decay=1.0 / (grid.dt * mu),
+            to_nodal=q.T / root,
+            q=q,
+            root=root,
+        )
 
     return grid.derived(("step_kernel", float(c)), op, build)
 
@@ -234,22 +196,14 @@ def _march(c, start, sources, grid: SpaceTimeGrid, op, backward=False):
     rows = slice(None, 0, -1) if backward else slice(1, None)
     out = traj[rows, 1:-1]
     srcs = [s[rows, 1:-1] for s in sources if s is not None]
-    kernel = _step_kernel(op, grid, c)
+    kernel = step_eigenbasis(op, grid, c)
     # values beyond float64 are left to the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(kernel, _ModalFactors):
-            b = np.zeros(out.shape)
-            b[0] = start / dt
-            for s in srcs:
-                b += s
-            out[...] = _modal_march(kernel, b)
-        else:
-            x = start
-            for k in range(grid.nt):
-                rhs = x / dt
-                for s in srcs:
-                    rhs += s[k]
-                x = out[k] = kernel(rhs)
+        b = np.zeros(out.shape)
+        b[0] = start / dt
+        for s in srcs:
+            b += s
+        out[...] = _modal_march(kernel, b)
     if not np.isfinite(traj).all():
         raise NonFiniteTrajectory("non-finite values in the solved trajectory")
     return traj

@@ -118,24 +118,53 @@ class TestExitCodes:
         assert main(["solve-forward", "--config", cfg, "--quiet"]) == 0
         assert (tmp_path / "o").is_dir()
 
-    @pytest.mark.parametrize("bad", ["config_is_directory", "config_not_utf8", "out_is_file"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["config_is_directory", "config_not_utf8", "out_is_file", "summary_is_directory",
+         "stages_is_directory", "sweep_run_is_file"],
+    )
     def test_unusable_path_is_config_error(self, tmp_path, capsys, bad):
         # these used to escape as IsADirectoryError, UnicodeDecodeError and
         # FileExistsError, which exit 1
+        command = {"stages_is_directory": "null-control",
+                   "sweep_run_is_file": "sweep"}.get(bad, "solve-forward")
         cfg = write_cfg(tmp_path, {"discretization.nx": 8, "discretization.nt": 8})
         out = tmp_path / "o"
         path = {"config_is_directory": tmp_path, "config_not_utf8": tmp_path / "bad.json",
-                "out_is_file": out}[bad]
+                "out_is_file": out, "summary_is_directory": out / "summary.json",
+                "stages_is_directory": out / "stages.csv",
+                "sweep_run_is_file": out / "discretization_nt=8"}[bad]
         if bad == "config_is_directory":
             cfg = str(tmp_path)
         elif bad == "config_not_utf8":
             path.write_bytes(b"\xff\xfe{")
             cfg = str(path)
-        else:
+        elif bad == "out_is_file":
             out.write_text("")
-        assert main(["solve-forward", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        elif bad == "sweep_run_is_file":
+            out.mkdir()
+            path.write_text("")
+        else:
+            path.mkdir(parents=True)
+        # two workers: the error pickles back from the one whose run failed
+        sweep = ["--axis", "discretization.nt", "--values", "8,16", "--jobs", "2"]
+        sweep = sweep if command == "sweep" else []
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet", *sweep]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(path) in err
+
+    @pytest.mark.parametrize("command", ["solve-forward", "null-control",
+                                         "null-control-nonlinear", "verify"])
+    def test_singular_step_matrix_is_solver_error(self, tmp_path, capsys, command):
+        # f = c u with c = -(1/dt - L_11) makes the 1 x 1 step matrix zero;
+        # the LinAlgError used to escape with a traceback, which exits 1
+        overrides = {"discretization.nx": 2, "discretization.nt": 2,
+                     "discretization.gamma": 1.0, "problem.ell": {"kind": "constant"},
+                     "problem.f": {"kind": "linear", "coeff": -7.464101615137754},
+                     "verify.checks": ["energy"]}
+        cfg = write_cfg(tmp_path, overrides)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("solver error: LinAlgError: singular")
 
     def test_newton_divergence_is_solver_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"problem.u0.amplitude": 200.0})

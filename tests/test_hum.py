@@ -287,8 +287,8 @@ class TestClosedFormStageNorms:
 
     @pytest.mark.parametrize("k, source", [(32, False), (64, False), (128, False), (160, True)])
     def test_matches_forward_solve(self, k, source):
-        # nx = 160 takes the LAPACK step kernel, and step_eigenbasis runs
-        # its own eigh_tridiagonal for the Gramian
+        # the forward solves and the Gramian share one kept eigenbasis of
+        # the step matrix on every grid, nx = 160 included
         prob = make_control_problem(k, k)
         grid = prob.grid
         g = None
