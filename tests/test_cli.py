@@ -3,7 +3,9 @@ import io
 import json
 import os
 import pathlib
+import signal
 import tempfile
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +66,37 @@ class TestConfigParsing:
         raw["discretization"]["nx"] = 1
         with pytest.raises(ConfigError, match="discretization.nx"):
             parse_config(raw)
+
+
+def _force_split(monkeypatch):
+    """Every trajectory goes through the helper process, on any machine."""
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _first_in_helper(monkeypatch, act):
+    """cli._format_levels calls act() first, in a helper process only."""
+    parent, format_levels = os.getpid(), cli._format_levels
+
+    def patched(*args):
+        if os.getpid() != parent:
+            act()
+        return format_levels(*args)
+
+    monkeypatch.setattr(cli, "_format_levels", patched)
+
+
+def _counting_forks(monkeypatch):
+    """A list that gets one entry per os.fork in this process."""
+    forks, fork, parent = [], os.fork, os.getpid()
+
+    def counted():
+        if os.getpid() == parent:
+            forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestExitCodes:
@@ -377,6 +410,66 @@ class TestExitCodes:
         assert "config error: carleman.lamda: unknown key" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        # these used to run serially and exit 0
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--axis", "carleman.s",
+             "--values", "1,2", "--base", "verify", "--jobs", jobs, "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --jobs:")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "command, name, split",
+        [("solve-forward", "trajectory.csv", False), ("solve-forward", "trajectory.csv", True),
+         ("solve-forward", "summary.json", False), ("verify", "verification.csv", False)],
+        ids=["trajectory", "trajectory_split", "summary", "csv"],
+    )
+    def test_write_error_is_config_error(
+        self, tmp_path, capfd, monkeypatch, command, name, split
+    ):
+        # a full disk used to escape as OSError with a traceback, which exits 1
+        if split:
+            # a helper that would format for a minute: the failed write kills it
+            _force_split(monkeypatch)
+            _first_in_helper(monkeypatch, lambda: time.sleep(60))
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 16})
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        t0 = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert time.perf_counter() - t0 < 30
+        err = capfd.readouterr().err
+        assert err == f"config error: {out / name}: cannot write the output file: " \
+            "No space left on device\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_failed_helper_is_config_error(self, tmp_path, capfd, monkeypatch, how):
+        def fault():
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("helper fault")
+
+        _force_split(monkeypatch)
+        _first_in_helper(monkeypatch, fault)
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 16})
+        out = tmp_path / "o"
+        assert main(["solve-forward", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capfd.readouterr().err
+        status = "exited with code 1" if how == "raises" else "was killed by signal 9"
+        assert err == f"config error: {out / 'trajectory.csv'}: cannot write the output " \
+            f"file: its helper process {status}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("command", ["solve-forward", "null-control-nonlinear"])
     def test_one_interior_node(self, tmp_path, command):
         # nodes 0, 0.25, 1: every step is 1 x 1, and the window holds x = 0.25
@@ -581,11 +674,14 @@ class TestSeedFlag:
         assert _csv_seeds(out / "carleman_s=1" / "verification.csv") == {"7"}
 
 
+_SPECIAL = [-0.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308 / 3, -1e-320]
+
+
 class TestTrajectoryWriter:
     def test_bytes_match_per_value_formatting(self, tmp_path):
         grid = build_grid(7, 5, 0.7, gamma=2.5)
         u = np.random.default_rng(1).standard_normal((grid.nt + 1, grid.nx + 1))
-        u[1, :6] = [-0.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308 / 3, -1e-320]
+        u[1, :6] = _SPECIAL
         u[2, 0] = 0.1 + 0.2
         u[0] = 0.0
         _write_trajectory(str(tmp_path), "new.csv", u, SimpleNamespace(grid=grid))
@@ -598,3 +694,33 @@ class TestTrajectoryWriter:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert b",-0.0\n" in new and b",1e-05\n" in new and b",5e-324\n" in new
+
+    @pytest.mark.parametrize("cpus, forks", [({0, 1}, 1), ({0}, 0)])
+    def test_split_bytes_match_per_value_formatting(self, tmp_path, monkeypatch, cpus, forks):
+        # 513 rows: the parent writes rows :256, the helper rows 256:
+        grid = build_grid(255, 512, 0.7, gamma=2.5)
+        u = np.random.default_rng(2).standard_normal((grid.nt + 1, grid.nx + 1))
+        assert u.size >= cli._SPLIT_MIN_VALUES and len(u) % 2 == 1
+        for j in (1, 255, 256, 512):
+            u[j, :6] = _SPECIAL
+            u[j, 6] = 0.1 + 0.2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        counted = _counting_forks(monkeypatch)
+        _write_trajectory(str(tmp_path), "new.csv", u, SimpleNamespace(grid=grid))
+        assert len(counted) == forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        rows = zip(np.repeat(grid.t, grid.nx + 1), np.tile(grid.x, grid.nt + 1), u.ravel())
+        write_csv(str(tmp_path / "old.csv"), ["t", "x", "u"], rows)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b",5e-324\n") == 4 and new.count(b",0.30000000000000004\n") == 4
+
+    def test_64_squared_trajectory_is_written_serially(self, tmp_path, monkeypatch):
+        grid = build_grid(64, 64, 1.0)
+        u = np.random.default_rng(3).standard_normal((grid.nt + 1, grid.nx + 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        counted = _counting_forks(monkeypatch)
+        _write_trajectory(str(tmp_path), "state.csv", u, SimpleNamespace(grid=grid))
+        assert counted == []
+        assert (tmp_path / "state.csv").read_bytes().count(b"\n") == u.size + 1
