@@ -23,6 +23,7 @@ import math
 import os
 import shutil
 import signal
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -63,12 +64,24 @@ def _fmt(v) -> str:
 @contextlib.contextmanager
 def _open_out(path: str):
     """path opened for writing; an OSError while opening, writing or closing
-    it is a ConfigError naming the path."""
+    it is a ConfigError naming the path.  Any exception once the file is
+    open removes it where path names a regular file, so no partial output is
+    left under its final name; a symlink or a device is left alone."""
+    opened = False
     try:
         with open(path, "w", newline="\n") as fh:
+            opened = True
             yield fh
-    except OSError as exc:
-        raise ConfigError(path, f"cannot write the output file: {exc.strerror or exc}") from exc
+    except BaseException as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(
+                path, f"cannot write the output file: {exc.strerror or exc}"
+            ) from exc
+        raise
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -117,6 +130,18 @@ def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
 # 64² state and control files (4,225 values) stay on the serial path.
 _SPLIT_MIN_VALUES = 1 << 17
 
+# Rows a streaming helper formats between two looks at its stop flag: about
+# 100 KB of text and 1.5 ms of formatting at 256 x 1024, the longest the
+# solver's caller waits for it to stop.
+_STREAM_ROWS = 8
+
+
+def _levels(grid):
+    """(template, times) of a trajectory on grid: one "%s<x>,%r\\n" per node
+    x, filled by one % per time level, and the times as Python floats."""
+    level = "".join([f"%s{x!r},%r\n" for x in grid.x.tolist()])
+    return level, grid.t.tolist()
+
 
 def _format_levels(level: str, t, u):
     """The text of the time levels (t[j], u[j]), one `level % args` each."""
@@ -128,27 +153,32 @@ def _format_levels(level: str, t, u):
         yield level % tuple(args)
 
 
-def _split_row(u: np.ndarray) -> int:
-    """First row a helper process formats: the middle row of a large
-    trajectory when this process may run on two CPUs, else len(u), no row."""
-    if (
-        u.size < _SPLIT_MIN_VALUES
-        or not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or len(os.sched_getaffinity(0)) < 2
-    ):
-        return len(u)
-    return len(u) // 2
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _fork_helper(level: str, t, u: np.ndarray, encoding: str):
-    """(pid, read end of its pipe) of a forked helper that writes the encoded
-    text of the levels (t, u) to the pipe and exits; None where no process
-    can be started.
+def _two_processes(values: int) -> bool:
+    """Whether a trajectory of this many values is written by two processes:
+    a large one, where this process may run on two CPUs and can fork."""
+    return (
+        values >= _SPLIT_MIN_VALUES
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
 
-    The helper runs no BLAS, takes no lock and does no I/O but its pipe, so
-    forking a process that has BLAS threads is safe.  It ends in os._exit,
-    so it flushes no inherited buffer and runs no atexit handler."""
+
+def _fork_piped(run, child_reads: bool):
+    """(pid, this process's end of a pipe) of a forked child that calls
+    run(its end of the pipe) and exits with the code run returns (1 where
+    it raises); None where no process can be started.  The child reads the
+    pipe where child_reads, else writes it.
+
+    The children of this module run no BLAS and take no lock, so forking a
+    process that has BLAS threads is safe.  A child ends in os._exit, so it
+    flushes no inherited buffer and runs no atexit handler."""
     try:
         r, w = os.pipe()
         try:
@@ -159,27 +189,42 @@ def _fork_helper(level: str, t, u: np.ndarray, encoding: str):
             raise
     except OSError:
         return None
+    mine, theirs = (w, r) if child_reads else (r, w)
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            view = memoryview("".join(_format_levels(level, t, u)).encode(encoding))
-            while view:
-                view = view[os.write(w, view):]
-            code = 0
+            os.close(mine)
+            code = run(theirs)
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, r
+    os.close(theirs)
+    return pid, mine
+
+
+def _exit_code(pid: int) -> int:
+    """Wait for the child pid: its exit code, or minus the signal that
+    killed it."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _helper_failed(path: str, code: int) -> ConfigError:
+    how = f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"
+    return ConfigError(path, f"cannot write the output file: its helper process {how}")
 
 
 @contextlib.contextmanager
 def _helper(path: str, level: str, t, u: np.ndarray, encoding: str):
-    """The pipe of a helper formatting the levels (t, u), or None where
-    there is no level or no helper.  An exception in the body kills the
-    helper; it is reaped on every exit, and one that failed is a
-    ConfigError for path."""
-    started = _fork_helper(level, t, u, encoding) if len(u) else None
+    """The pipe of a forked helper that writes the encoded text of the
+    levels (t, u) to it, or None where there is no level or no helper.  An
+    exception in the body kills the helper; it is reaped on every exit, and
+    one that failed is a ConfigError for path.  The helper does no I/O but
+    its pipe."""
+
+    def run(w):
+        _write_all(w, "".join(_format_levels(level, t, u)).encode(encoding))
+        return 0
+
+    started = _fork_piped(run, child_reads=False) if len(u) else None
     if started is None:
         yield None
         return
@@ -191,42 +236,155 @@ def _helper(path: str, level: str, t, u: np.ndarray, encoding: str):
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = _exit_code(pid)
     if code:
-        how = f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"
-        raise ConfigError(path, f"cannot write the output file: its helper process {how}")
+        raise _helper_failed(path, code)
 
 
-def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig) -> None:
-    """Rows t,x,u in write_csv's format, one "%s<x>,%r\\n" template per grid
-    filled by one % per time level.  This process streams rows :k into the
-    file one level at a time.  On a large trajectory (see _split_row) a
-    forked helper formats rows k: meanwhile, and this process appends its
-    bytes from a pipe; the split changes no byte of the file."""
-    path = os.path.join(out, name)
-    xs = cfg.grid.x.tolist()
-    level = "".join([f"%s{x!r},%r\n" for x in xs])
-    t = cfg.grid.t.tolist()
-    k = _split_row(u)
-    with _open_out(path) as fh, _helper(path, level, t[k:], u[k:], fh.encoding) as pipe:
+def _write_levels(fh, path: str, level: str, t, u: np.ndarray, k: int) -> None:
+    """Append the levels (t, u) to fh: this process streams rows :k one
+    level at a time, while a forked helper formats rows k: (none where k =
+    len(u) or no helper can be started), whose bytes it then copies from a
+    pipe, so it never holds them."""
+    with _helper(path, level, t[k:], u[k:], fh.encoding) as pipe:
         k = len(u) if pipe is None else k
-        fh.write("t,x,u\n")
         fh.writelines(_format_levels(level, t[:k], u[:k]))
         if pipe is not None:
             fh.flush()
             shutil.copyfileobj(pipe, fh.buffer, 1 << 16)
 
 
+def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig) -> None:
+    """Rows t,x,u in write_csv's format, one _levels template per time
+    level.  On a large trajectory (see _two_processes) a forked helper
+    formats the second half of the rows while this process writes the
+    first; the split changes no byte of the file."""
+    path = os.path.join(out, name)
+    level, t = _levels(cfg.grid)
+    with _open_out(path) as fh:
+        fh.write("t,x,u\n")
+        k = len(u) // 2 if _two_processes(u.size) else len(u)
+        _write_levels(fh, path, level, t, u, k)
+
+
+def _stream_rows(fd: int, r: int, ctl, level: str, t, u, encoding: str) -> int:
+    """A streaming helper's work: write the text of the levels (t[j], u[j])
+    to fd in order as the parent reports each row final, with one byte on
+    the pipe r, reading the pipe only once it has caught up.  It stops at a
+    row boundary once the parent sets ctl[0], with ctl[1] the rows written,
+    and returns its exit code: 1 where the pipe ends before the stop flag
+    is set, since the parent is gone."""
+    done = known = 0
+    while not ctl[0]:
+        if done == known:
+            got = os.read(r, 1 << 16)
+            if not got:
+                return 0 if ctl[0] else 1
+            known += len(got)
+            continue
+        end = min(known, done + _STREAM_ROWS)
+        text = "".join(_format_levels(level, t[done:end], u[done:end]))
+        _write_all(fd, text.encode(encoding))
+        done = ctl[1] = end
+    return 0
+
+
+@contextlib.contextmanager
+def _row_stream(path: str, fh, level: str, t, u: np.ndarray, ctl):
+    """on_row for forward_solve_nonlinear, filling u: a forked helper writes
+    row j of u into fh's file once on_row(j) reports it final (see
+    _stream_rows), until the body ends; then ctl[1] counts the rows it
+    wrote.  None where no helper can be started.  An exception in the body
+    kills the helper; it is reaped on every exit, and one that failed, also
+    seen as a BrokenPipeError in on_row, is a ConfigError for path."""
+    started = _fork_piped(
+        lambda r: _stream_rows(fh.fileno(), r, ctl, level, t, u, fh.encoding),
+        child_reads=True,
+    )
+    if started is None:
+        yield None
+        return
+    pid, w = started
+
+    def on_row(j: int) -> None:
+        os.write(w, b"\0")
+
+    try:
+        try:
+            yield on_row
+        finally:
+            ctl[0] = 1  # before the pipe ends, which the helper then reads as a stop
+            os.close(w)
+    except BaseException as exc:
+        gone = isinstance(exc, BrokenPipeError)  # the helper ended; its status says how
+        if not gone:
+            os.kill(pid, signal.SIGKILL)
+        code = _exit_code(pid)
+        if gone and code:
+            raise _helper_failed(path, code) from exc
+        raise
+    code = _exit_code(pid)
+    if code:
+        raise _helper_failed(path, code)
+
+
+def _solve_streamed(path: str, cfg: ExperimentConfig, op) -> tuple:
+    """(final L2 norm, solve seconds) of the nonlinear forward solve, whose
+    trajectory is written to path while it is solved.
+
+    u lives in an anonymous shared mapping after two int64 slots, the
+    helper's stop flag and its row count F.  A helper forked before the
+    solve writes each row as the stepper reports it final (_row_stream);
+    the header is written and flushed before, so an unusable path fails
+    here.  After the solve this process stops and reaps the helper and
+    writes rows F: at the end of the file with _write_levels, a second
+    helper taking the upper half.  The file is byte for byte the one
+    _write_trajectory writes.  A solver error kills the helper and removes
+    the file (_open_out), and the mapping is closed before returning."""
+    import mmap
+
+    grid = cfg.grid
+    shape = (grid.nt + 1, grid.nx + 1)
+    level, t = _levels(grid)
+    shared = mmap.mmap(-1, 8 * (2 + shape[0] * shape[1]))
+    try:
+        with _open_out(path) as fh:
+            fh.write("t,x,u\n")
+            fh.flush()
+            ctl = np.frombuffer(shared, np.int64, 2)
+            u = np.frombuffer(shared, float, offset=16).reshape(shape)
+            with _row_stream(path, fh, level, t, u, ctl) as on_row:
+                t0 = time.perf_counter()
+                forward_solve_nonlinear(cfg.problem, None, grid, op, out=u, on_row=on_row)
+                wall = time.perf_counter() - t0
+            done = int(ctl[1])
+            fh.seek(0, os.SEEK_END)
+            _write_levels(fh, path, level, t[done:], u[done:], (shape[0] - done) // 2)
+        final = l2_norm(u[-1], grid)
+        del ctl, u  # the views of the mapping, which close() refuses to outlive
+    finally:
+        with contextlib.suppress(BufferError):  # views a traceback holds: freed with it
+            shared.close()
+    return final, wall
+
+
 def cmd_solve_forward(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
-    """Nonlinear forward solve; writes trajectory.csv through
-    _write_trajectory (two processes on a large grid) and summary.json."""
+    """Nonlinear forward solve; writes trajectory.csv and summary.json.
+
+    A trajectory that _write_trajectory would write by two processes is
+    written while it is solved (_solve_streamed), on the CPU the solve
+    leaves idle.  Any other is solved first and written by
+    _write_trajectory.  Both give the same bytes."""
     grid = cfg.grid
     op = assemble_degenerate_operator(cfg.problem.a, grid)
-    t0 = time.perf_counter()
-    u = forward_solve_nonlinear(cfg.problem, None, grid, op)
-    wall = time.perf_counter() - t0
-    _write_trajectory(out, "trajectory.csv", u, cfg)
-    final = l2_norm(u[-1], grid)
+    if _two_processes((grid.nt + 1) * (grid.nx + 1)):
+        final, wall = _solve_streamed(os.path.join(out, "trajectory.csv"), cfg, op)
+    else:
+        t0 = time.perf_counter()
+        u = forward_solve_nonlinear(cfg.problem, None, grid, op)
+        wall = time.perf_counter() - t0
+        _write_trajectory(out, "trajectory.csv", u, cfg)
+        final = l2_norm(u[-1], grid)
     _write_summary(
         out, cfg, "solve-forward",
         {"final_l2_norm": final, "wall_seconds": wall},

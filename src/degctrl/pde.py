@@ -22,14 +22,20 @@ f and iterates in place in the trajectory row: per iterate, one vecdot for
 int u (the bits of integrate_space), one call each of ell, f and df/du, and
 one dgtsv, since the bands change with every iterate.  One max|x| is both
 the finiteness test and the scale of the increment.  scipy's dgtsv wrapper
-rejects one interior node (nx = 2), whose step is a division.
+rejects one interior node (nx = 2), whose step is a division.  A caller may
+hand the stepper the array to fill (out=) and a callback (on_row=) that it
+calls with j once row j is final, row 0 included: the stepper reads row j
+again only to start row j+1 and never writes it, so the caller may read
+(not write) rows up to j from then on, from another process too when out
+lives in shared memory.  That is how the CLI writes a large trajectory
+while it is being solved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -260,6 +266,9 @@ def forward_solve_nonlinear(
     op: DegenerateOperator,
     tol: float = TOL_PICARD,
     maxit: int = MAXIT_PICARD,
+    *,
+    out: Optional[np.ndarray] = None,
+    on_row: Optional[Callable[[int], None]] = None,
 ) -> np.ndarray:
     """Implicit Euler for the nonlocal semilinear equation
     u_t - ell(int u) (a u_x)_x + f(t, x, u) = h.
@@ -267,12 +276,19 @@ def forward_solve_nonlinear(
     Per step, the nonlocal factor is lagged and f is Newton-linearized around
     the current inner iterate; the inner loop runs until the relative
     increment drops below tol.
+
+    The trajectory is written into out when given (a zeroed (nt+1, nx+1)
+    array, which is returned) and else into a new array.  on_row(j) is
+    called once row j is final, for j = 0, ..., nt in order; an exception
+    it raises ends the solve.
     """
     nt, dt = grid.nt, grid.dt
     x, widths = grid.x[1:-1], grid.dual_widths
     f, df, ell = pd.f.f, pd.f.df_du, pd.ell.ell
-    u = np.zeros((nt + 1, grid.nx + 1))
+    u = np.zeros((nt + 1, grid.nx + 1)) if out is None else out
     u[0, 1:-1] = pd.u0[1:-1]
+    if on_row is not None:
+        on_row(0)
     # an overflow of f or of an iterate fails its finiteness test below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, nt + 1):
@@ -303,6 +319,8 @@ def forward_solve_nonlinear(
                     f"inner loop at t={tj:.4g} did not reach tol={tol} "
                     f"within {maxit} iterations (last increment {inc:.3g})"
                 )
+            if on_row is not None:
+                on_row(j)
     return u
 
 

@@ -87,16 +87,44 @@ def _first_in_helper(monkeypatch, act):
 
 
 def _counting_forks(monkeypatch):
-    """A list that gets one entry per os.fork in this process."""
+    """A list that gets the pid of each child os.fork starts in this process."""
     forks, fork, parent = [], os.fork, os.getpid()
 
     def counted():
+        pid = fork()
         if os.getpid() == parent:
-            forks.append(1)
-        return fork()
+            forks.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "fork", counted)
     return forks
+
+
+def _after_row(monkeypatch, row, act):
+    """solve-forward's on_row(row) calls act() once it has reported the row."""
+    solve = cli.forward_solve_nonlinear
+
+    def paused(*args, on_row, **kwargs):
+        def report(j):
+            on_row(j)
+            if j == row:
+                act()
+
+        return solve(*args, on_row=report, **kwargs)
+
+    monkeypatch.setattr(cli, "forward_solve_nonlinear", paused)
+
+
+def _until(done, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not done():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def _exited(pid):
+    """Whether the child pid has ended, without reaping it."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
 
 
 class TestExitCodes:
@@ -425,19 +453,22 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
-        "command, name, split",
-        [("solve-forward", "trajectory.csv", False), ("solve-forward", "trajectory.csv", True),
-         ("solve-forward", "summary.json", False), ("verify", "verification.csv", False)],
-        ids=["trajectory", "trajectory_split", "summary", "csv"],
+        "command, name, helper",
+        [("solve-forward", "trajectory.csv", None), ("null-control", "state.csv", "split"),
+         ("solve-forward", "trajectory.csv", "streamed"),
+         ("solve-forward", "summary.json", None), ("verify", "verification.csv", None)],
+        ids=["trajectory", "trajectory_split", "trajectory_streamed", "summary", "csv"],
     )
     def test_write_error_is_config_error(
-        self, tmp_path, capfd, monkeypatch, command, name, split
+        self, tmp_path, capfd, monkeypatch, command, name, helper
     ):
         # a full disk used to escape as OSError with a traceback, which exits 1
-        if split:
-            # a helper that would format for a minute: the failed write kills it
+        if helper:
+            # a helper that would format for a minute: the failed write kills
+            # it, and a streamed solve fails at its header, before any fork
             _force_split(monkeypatch)
             _first_in_helper(monkeypatch, lambda: time.sleep(60))
+        counted = _counting_forks(monkeypatch)
         cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 16})
         out = tmp_path / "o"
         out.mkdir()
@@ -448,25 +479,74 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert err == f"config error: {out / name}: cannot write the output file: " \
             "No space left on device\n"
+        assert len(counted) == (helper == "split")
+        assert (out / name).is_symlink()  # not a regular file: left alone
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("how", ["raises", "killed"])
-    def test_failed_helper_is_config_error(self, tmp_path, capfd, monkeypatch, how):
+    @pytest.mark.parametrize(
+        "how, stream",
+        [("raises", None), ("killed", None), ("killed", "mid"), ("raises", "end")],
+        ids=["raises", "killed", "streamed_killed", "streamed_raises"],
+    )
+    def test_failed_helper_is_config_error(self, tmp_path, capfd, monkeypatch, how, stream):
+        # split: state.csv's helper fails; streamed: solve-forward's helper
+        # fails on row 0 and the stepper's next on_row meets a broken pipe
+        # (mid), or on the last row once the solve is done (end)
         def fault():
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("helper fault")
 
         _force_split(monkeypatch)
-        _first_in_helper(monkeypatch, fault)
+        parent, format_levels = os.getpid(), cli._format_levels
+
+        def patched(level, t, u):
+            if os.getpid() != parent and (stream != "end" or t[-1] == 1.0):
+                fault()
+            return format_levels(level, t, u)
+
+        monkeypatch.setattr(cli, "_format_levels", patched)
+        counted = _counting_forks(monkeypatch)
+        if stream:
+            _after_row(monkeypatch, 0 if stream == "mid" else 16, lambda: _until(
+                lambda: _exited(counted[0])
+            ))
+        command, name = ("solve-forward", "trajectory.csv") if stream else \
+            ("null-control", "state.csv")
         cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 16})
         out = tmp_path / "o"
-        assert main(["solve-forward", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
         err = capfd.readouterr().err
         status = "exited with code 1" if how == "raises" else "was killed by signal 9"
-        assert err == f"config error: {out / 'trajectory.csv'}: cannot write the output " \
+        assert err == f"config error: {out / name}: cannot write the output " \
             f"file: its helper process {status}\n"
+        assert len(counted) == 1
+        assert not (out / name).exists()  # no partial file under the final name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_solver_error_while_streaming_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the stepper reports rows 0 and 1, the helper writes them, and row 2
+        # raises PicardDivergence: the helper is killed and the file removed
+        _force_split(monkeypatch)
+        counted = _counting_forks(monkeypatch)
+        out = tmp_path / "o"
+        path = out / "trajectory.csv"
+        _after_row(monkeypatch, 1, lambda: _until(
+            lambda: path.read_bytes().count(b"\n") == 1 + 2 * 17
+        ))
+        overrides = {
+            "discretization.nx": 16,
+            "discretization.nt": 64,
+            "problem.f": {"kind": "polynomial", "coeffs": [0.0, 0.0, -1.0]},
+            "problem.u0.amplitude": 10.0,
+        }
+        cfg = write_cfg(tmp_path, overrides)
+        assert main(["solve-forward", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("solver error: PicardDivergence: ")
+        assert len(counted) == 1
+        assert not path.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -724,3 +804,65 @@ class TestTrajectoryWriter:
         _write_trajectory(str(tmp_path), "state.csv", u, SimpleNamespace(grid=grid))
         assert counted == []
         assert (tmp_path / "state.csv").read_bytes().count(b"\n") == u.size + 1
+        # nor is a 64² solve-forward streamed
+        cfg = write_cfg(tmp_path, {"discretization.nx": 64, "discretization.nt": 64})
+        out = tmp_path / "fwd"
+        assert main(["solve-forward", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert counted == []
+        assert (out / "trajectory.csv").read_bytes().count(b"\n") == u.size + 1
+
+    def test_streamed_solve_forward_matches_serial(self, tmp_path, monkeypatch):
+        # a helper slower than the stepper: the streaming helper writes the
+        # first rows, then this process and a second helper the rest
+        cfg = write_cfg(tmp_path, {"discretization.nx": 32, "discretization.nt": 96})
+        runs = {}
+        for name, cpus in (("serial", {0}), ("streamed", {0, 1})):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+                m.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                _first_in_helper(m, lambda: time.sleep(0.002))
+                counted = _counting_forks(m)
+                solve, solved = cli.forward_solve_nonlinear, []
+
+                def captured(*args, **kwargs):
+                    u = solve(*args, **kwargs)
+                    solved.append(u.copy())  # the streamed u is closed with its mapping
+                    return u
+
+                m.setattr(cli, "forward_solve_nonlinear", captured)
+                out = tmp_path / name
+                assert main(["solve-forward", "--config", cfg, "--out", str(out),
+                             "--quiet"]) == 0
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            summary = json.loads((out / "summary.json").read_text())
+            runs[name] = (len(counted), (out / "trajectory.csv").read_bytes(),
+                          summary["final_l2_norm"], solved[0])
+        assert runs["serial"][0] == 0 and runs["streamed"][0] == 2
+        assert runs["streamed"][1:3] == runs["serial"][1:3]
+        grid = parse_config(json.loads(pathlib.Path(cfg).read_text())).grid
+        u = runs["streamed"][3]
+        rows = zip(np.repeat(grid.t, grid.nx + 1), np.tile(grid.x, grid.nt + 1), u.ravel())
+        write_csv(str(tmp_path / "old.csv"), ["t", "x", "u"], rows)
+        assert runs["streamed"][1] == (tmp_path / "old.csv").read_bytes()
+
+    def test_streamed_bytes_hold_wherever_the_helper_stops(self, tmp_path, monkeypatch):
+        # helpers of several speeds hand over at different rows, or finish
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 128})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["solve-forward", "--config", cfg, "--out", str(tmp_path / "ref"),
+                     "--quiet"]) == 0
+        serial = (tmp_path / "ref" / "trajectory.csv").read_bytes()
+        _force_split(monkeypatch)
+        t0 = time.monotonic()
+        for run in range(12):
+            delay = (0.0, 0.0002, 0.001)[run % 3]
+            with monkeypatch.context() as m:
+                _first_in_helper(m, lambda: time.sleep(delay))
+                out = tmp_path / str(run)
+                assert main(["solve-forward", "--config", cfg, "--out", str(out),
+                             "--quiet"]) == 0
+            assert (out / "trajectory.csv").read_bytes() == serial, run
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert time.monotonic() - t0 < 60

@@ -181,6 +181,33 @@ class TestForwardSolve:
         forward_solve_nonlinear(pd, h, grid, op)
         assert len(calls) == 210  # 6.6 per step
 
+    def test_fills_out_and_reports_final_rows(self):
+        grid = build_grid(32, 32, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        pd, h = self._sloped_cubic(grid)
+        ref = forward_solve_nonlinear(pd, h, grid, op)
+        out, seen = np.zeros_like(ref), []
+        u = forward_solve_nonlinear(
+            pd, h, grid, op, out=out, on_row=lambda j: seen.append((j, out[j].copy()))
+        )
+        assert u is out and u.tobytes() == ref.tobytes()
+        assert [j for j, _ in seen] == list(range(grid.nt + 1))
+        for j, row in seen:  # as the callback saw it, bit for bit
+            assert row.tobytes() == u[j].tobytes(), j
+
+    def test_reports_only_the_rows_solved_before_a_divergence(self):
+        # f = -u^2 from 10 sin(pi x): row 2's inner loop does not converge
+        grid = build_grid(16, 64, 1.0)
+        op = assemble_degenerate_operator(power_coefficient(0.5), grid)
+        pd = dataclasses.replace(
+            make_nonlinear_problem(grid, amplitude=10.0),
+            f=SemilinearTerm.polynomial([0.0, 0.0, -1.0]),
+        )
+        out, seen = np.zeros((grid.nt + 1, grid.nx + 1)), []
+        with pytest.raises(PicardDivergence, match="did not reach tol"):
+            forward_solve_nonlinear(pd, None, grid, op, out=out, on_row=seen.append)
+        assert seen == [0, 1]
+
 
 def _reference_step(op, dt, c_row, rhs):
     """One implicit step with a freshly assembled banded matrix, per row."""
