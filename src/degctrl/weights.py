@@ -1,7 +1,9 @@
 """Carleman weight functions, in log space.
 
 ``build_weight_fields`` derives the observation window omega' and the
-constant M from ``CarlemanParams``, the ``carleman`` config block.
+constant M from ``CarlemanParams``, the ``carleman`` config block.  The
+space profile psi comes from the coefficient's exact primitive of y/a(y),
+so no quadrature runs and scipy.integrate is never imported.
 
 All exponential weights are tabulated by their logarithms: the factor
 exp(-s*A) reaches exp(1e8) on desk-scale grids, so the log tabulation is the
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coeffs import DegeneracyCoefficient
 from .grid import SpaceTimeGrid, window_mask
@@ -70,61 +71,38 @@ class PsiFunction:
         return np.polyval(self.blend_coeffs[::-1], u)
 
 
-def _integrand(a: DegeneracyCoefficient):
-    def iy(y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        return y / float(a(y))
-
-    return iy
-
-
 def build_psi(
     a: DegeneracyCoefficient, omega_prime, grid: SpaceTimeGrid
 ) -> PsiFunction:
     """Tabulate psi at the grid nodes.
 
-    psi(x) = int_0^x y/a(y) dy on [0, a'); psi(b') = 0 and
-    psi(x) = -int_{b'}^x y/a(y) dy on [b', 1]; quintic Hermite blend on
-    [a', b'] matching value, slope and curvature at both junctions.
+    psi(x) = F(x) on [0, a') and psi(x) = -(F(x) - F(b')) on (b', 1], with
+    F(x) = int_0^x y/a(y) dy the coefficient's exact primitive; quintic
+    Hermite blend on [a', b'] matching value, slope and curvature at both
+    junctions.  Raises ValueError for a coefficient without a primitive.
     """
     ap, bp = omega_prime
     if not (0.0 < ap < bp < 1.0):
         raise ValueError("omega_prime must sit strictly inside (0, 1)")
-    iy = _integrand(a)
+    F = a.primitive
+    if F is None:
+        raise ValueError(f"coefficient kind {a.kind!r} has no primitive for psi")
 
     def curvature(x: float, sign: float) -> float:
         av = float(a.a(x))
         return sign * (av - x * float(a.a_prime(x))) / av**2
 
-    # cumulative integral over left-branch nodes plus the junction value
     x = grid.x
     left_idx = np.nonzero(x < ap)[0]
     right_idx = np.nonzero(x > bp)[0]
-
     psi = np.empty_like(x)
-
-    acc = 0.0
-    prev = 0.0
-    for i in left_idx:
-        val, _ = quad(iy, prev, x[i], limit=200, epsabs=0.0, epsrel=1e-12)
-        acc += val
-        prev = x[i]
-        psi[i] = acc
-    v_ap, _ = quad(iy, prev, ap, limit=200, epsabs=0.0, epsrel=1e-12)
-    v_ap += acc
-
-    acc = 0.0
-    prev = bp
-    for i in right_idx:
-        val, _ = quad(iy, prev, x[i], limit=200, epsabs=0.0, epsrel=1e-12)
-        acc -= val
-        prev = x[i]
-        psi[i] = acc
+    psi[left_idx] = F(x[left_idx])
+    v_ap = float(F(ap))
+    psi[right_idx] = -(F(x[right_idx]) - F(bp))
 
     # quintic Hermite blend on [a', b'] in the scaled variable u = (x-a')/L
     L = bp - ap
-    d_ap, d_bp = iy(ap), -iy(bp)
+    d_ap, d_bp = ap / float(a(ap)), -bp / float(a(bp))
     c_ap, c_bp = curvature(ap, +1.0), curvature(bp, -1.0)
     rhs = np.array([v_ap, d_ap * L, c_ap * L**2, 0.0, d_bp * L, c_bp * L**2])
     # rows: value, slope and curvature at u = 0, then the same at u = 1

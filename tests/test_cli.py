@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 from types import SimpleNamespace
@@ -715,6 +717,26 @@ class TestPipelines:
              "--values", "1,2", "--base", "verify", "--jobs", "64", "--quiet"]
         )
         assert code == 0 and sizes == [2]
+
+    def test_pipelines_never_import_scipy_integrate(self, tmp_path):
+        # psi comes from each coefficient's exact primitive, so no pipeline
+        # pays for scipy.integrate; a fresh interpreter shows what each loads
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 16,
+                                   "verify.checks": sorted(KNOWN_CHECKS)})
+        script = (
+            "import os, sys\n"
+            "from degctrl import cli\n"
+            "for cmd in ('solve-forward', 'null-control', 'null-control-nonlinear', 'verify'):\n"
+            f"    out = os.path.join({str(tmp_path)!r}, cmd)\n"
+            f"    code = cli.main([cmd, '--config', {cfg!r}, '--out', out, '--quiet'])\n"
+            "    assert code == 0, (cmd, code)\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 def _csv_seeds(path):

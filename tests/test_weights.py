@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 from degctrl import (
+    DegeneracyCoefficient,
     build_grid,
     build_psi,
     build_truncated_fields,
     default_omega_prime,
     eval_m,
     power_coefficient,
+    power_cosine_coefficient,
 )
 from tests.conftest import OMEGA, make_fields
+
+
+def _quadrature(a, lo, hi):
+    """int_lo^hi y / a(y) dy by adaptive quadrature, the reference for psi."""
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda y: y / float(a(y)) if y else 0.0, lo, hi,
+                  limit=200, epsabs=0.0, epsrel=1e-13)
+    return val
 
 
 @pytest.fixture(scope="module")
@@ -39,17 +50,48 @@ class TestPsi:
     def test_blend_matches_branches_at_junctions(self, grid):
         # the quintic Hermite blend interpolates value and slope of both
         # branches, so evaluating it at the junctions must reproduce the
-        # closed-form branch values
+        # branch values: closed form for "power", quadrature for "power_cosine"
         alpha = 0.5
-        psi = build_psi(power_coefficient(alpha), default_omega_prime(OMEGA), grid)
+        for a in (power_coefficient(alpha), power_cosine_coefficient(alpha)):
+            psi = build_psi(a, default_omega_prime(OMEGA), grid)
+            ap, bp = psi.alpha_p, psi.beta_p
+            if a.kind == "power":
+                left_val = ap ** (2.0 - alpha) / (2.0 - alpha)
+            else:
+                left_val = _quadrature(a, 0.0, ap)
+            assert float(psi.blend(ap)) == pytest.approx(left_val, rel=1e-10)
+            assert float(psi.blend(bp)) == pytest.approx(0.0, abs=1e-12)
+            # slope at the left junction equals the integrand x / a(x)
+            eps = 1e-7
+            slope = (float(psi.blend(ap + eps)) - float(psi.blend(ap - eps))) / (2 * eps)
+            assert slope == pytest.approx(ap / float(a(ap)), rel=1e-5)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("nx", [16, 64, 256])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("make", [power_coefficient, power_cosine_coefficient],
+                             ids=["power", "power_cosine"])
+    def test_exact_primitive_matches_quadrature(self, make, alpha, nx, gamma):
+        # the exact branches against adaptive quadrature of y / a(y)
+        a = make(alpha)
+        grid = build_grid(nx, 4, 1.0, gamma=gamma)
+        psi = build_psi(a, default_omega_prime(OMEGA), grid)
         ap, bp = psi.alpha_p, psi.beta_p
-        left_val = ap ** (2.0 - alpha) / (2.0 - alpha)
-        assert float(psi.blend(ap)) == pytest.approx(left_val, rel=1e-10)
-        assert float(psi.blend(bp)) == pytest.approx(0.0, abs=1e-12)
-        # slope at the left junction equals the integrand x / a(x)
-        eps = 1e-7
-        slope = (float(psi.blend(ap + eps)) - float(psi.blend(ap - eps))) / (2 * eps)
-        assert slope == pytest.approx(ap / ap**alpha, rel=1e-5)
+        x = grid.x
+        left, right = x < ap, x > bp
+        want = np.concatenate([[_quadrature(a, 0.0, xi) for xi in x[left]],
+                               [-_quadrature(a, bp, xi) for xi in x[right]]])
+        v_ap, v_1 = _quadrature(a, 0.0, ap), -_quadrature(a, bp, 1.0)
+        blend_max = np.max(np.abs(psi.blend(np.linspace(ap, bp, 2001))))
+        tol = 1e-13 * psi.psi_inf
+        np.testing.assert_allclose(psi.psi_nodes[left | right], want, rtol=0, atol=tol)
+        assert abs(float(psi.blend(ap)) - v_ap) <= tol
+        assert abs(psi.psi_inf - max(abs(v_ap), abs(v_1), blend_max)) <= tol
+
+    def test_coefficient_without_primitive_rejected(self, grid):
+        a = DegeneracyCoefficient("hump", lambda x: x * (1.2 - x), lambda x: 1.2 - 2.0 * x)
+        with pytest.raises(ValueError, match="hump"):
+            build_psi(a, default_omega_prime(OMEGA), grid)
 
     def test_psi_inf_bounds_nodes(self, grid):
         psi = build_psi(power_coefficient(0.5), default_omega_prime(OMEGA), grid)
