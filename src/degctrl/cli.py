@@ -20,7 +20,9 @@ import copy
 import dataclasses
 import json
 import math
+import mmap
 import os
+import select
 import shutil
 import signal
 import stat
@@ -130,9 +132,9 @@ def _control_problem(cfg: ExperimentConfig) -> LinearControlProblem:
 # 64² state and control files (4,225 values) stay on the serial path.
 _SPLIT_MIN_VALUES = 1 << 17
 
-# Rows a streaming helper formats between two looks at its stop flag: about
-# 100 KB of text and 1.5 ms of formatting at 256 x 1024, the longest the
-# solver's caller waits for it to stop.
+# Rows the helper formats between two looks at the rows pipe: about 100 KB
+# of text and 1.5 ms of formatting at 256 x 1024, the longest the caller
+# waits for a helper that lags to stop.
 _STREAM_ROWS = 8
 
 
@@ -170,225 +172,143 @@ def _two_processes(values: int) -> bool:
     )
 
 
-def _fork_piped(run, child_reads: bool):
-    """(pid, this process's end of a pipe) of a forked child that calls
-    run(its end of the pipe) and exits with the code run returns (1 where
-    it raises); None where no process can be started.  The child reads the
-    pipe where child_reads, else writes it.
+def _helper(fd: int, rows: int, back: int, level: str, t, u, encoding: str) -> None:
+    """A helper's work (see _write_trajectory): it writes row j of u to fd
+    once a byte on the pipe rows reports it final, in blocks of _STREAM_ROWS,
+    polling the pipe between blocks (select takes no fd above 1023) and
+    waiting on it only once it has caught up.  At the pipe's end it stops at
+    a row boundary and sends on the pipe back the count d of rows it wrote,
+    then the text of rows d + (len(u) - d) // 2 onward."""
+    ready = select.poll()
+    ready.register(rows, select.POLLIN)
+    done = known = 0
+    while True:
+        if done == known or ready.poll(0):
+            got = os.read(rows, 1 << 16)
+            if not got:
+                break
+            known += len(got)
+        if done < known:
+            end = min(known, done + _STREAM_ROWS)
+            text = "".join(_format_levels(level, t[done:end], u[done:end]))
+            _write_all(fd, text.encode(encoding))
+            done = end
+    _write_all(back, done.to_bytes(8, "little"))
+    k = done + (len(u) - done) // 2
+    _write_all(back, "".join(_format_levels(level, t[k:], u[k:])).encode(encoding))
 
-    The children of this module run no BLAS and take no lock, so forking a
-    process that has BLAS threads is safe.  A child ends in os._exit, so it
-    flushes no inherited buffer and runs no atexit handler."""
+
+def _fork_helper(fh, level: str, t, u: np.ndarray):
+    """(pid, rows, back) of a forked _helper writing fh's file, with this
+    process's ends of its pipes; None where no process can be started.  The
+    helper runs no BLAS and takes no lock, so forking a process that has
+    BLAS threads is safe; it ends in os._exit, so it flushes no inherited
+    buffer and runs no atexit handler."""
+    fds = []
     try:
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
     except OSError:
+        for fd in fds:
+            os.close(fd)
         return None
-    mine, theirs = (w, r) if child_reads else (r, w)
+    rows_r, rows, back, back_w = fds
     if pid == 0:
-        code = 1
         try:
-            os.close(mine)
-            code = run(theirs)
-        finally:
-            os._exit(code)
-    os.close(theirs)
-    return pid, mine
+            os.close(rows)
+            os.close(back)
+            _helper(fh.fileno(), rows_r, back_w, level, t, u, fh.encoding)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(rows_r)
+    os.close(back_w)
+    return pid, rows, back
 
 
-def _exit_code(pid: int) -> int:
-    """Wait for the child pid: its exit code, or minus the signal that
-    killed it."""
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _write_trajectory(out: str, name: str, u: np.ndarray | None, cfg: ExperimentConfig,
+                      solve=None):
+    """Rows t,x,u in write_csv's format, one _levels template per time
+    level, of u, or where solve is given of the zeroed array that
+    solve(u, on_row) fills, calling on_row(j) (None where nothing reads
+    it) once row j is final; solve's result is returned.
+
+    A large trajectory (see _two_processes) is written by two processes.
+    A helper forked once the header is flushed writes each row as it is
+    reported (_helper).  After solve this process ends the rows pipe,
+    reads the count d of rows the helper wrote and appends rows d..k-1
+    while the helper formats rows k: (k = d + (n - d) // 2) into the back
+    pipe, whose bytes it copies next; a filled u reports no row, so d = 0.
+    The helper writes the file only before it sends d, this process only
+    after reading d, and where no helper can be started it writes every
+    row; the file is byte for byte the serial one either way.  A solved u
+    lives in an anonymous shared mapping where two processes write.  An
+    exception kills the helper; it is reaped on every exit, and one that
+    failed is a ConfigError for the path."""
+    path = os.path.join(out, name)
+    shape = (cfg.grid.nt + 1, cfg.grid.nx + 1)
+    level, t = _levels(cfg.grid)
+    two = _two_processes(shape[0] * shape[1])
+    if u is None:
+        u = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])) if two else np.zeros(shape)
+        u = u.reshape(shape)
+    with _open_out(path) as fh:
+        fh.write("t,x,u\n")
+        fh.flush()
+        started = _fork_helper(fh, level, t, u) if two else None
+        if started:
+            return _write_with_helper(path, fh, level, t, u, solve, *started)
+        result = solve(u, None) if solve else None
+        fh.writelines(_format_levels(level, t, u))
+    return result
 
 
-def _helper_failed(path: str, code: int) -> ConfigError:
-    how = f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"
-    return ConfigError(path, f"cannot write the output file: its helper process {how}")
-
-
-@contextlib.contextmanager
-def _helper(path: str, level: str, t, u: np.ndarray, encoding: str):
-    """The pipe of a forked helper that writes the encoded text of the
-    levels (t, u) to it, or None where there is no level or no helper.  An
-    exception in the body kills the helper; it is reaped on every exit, and
-    one that failed is a ConfigError for path.  The helper does no I/O but
-    its pipe."""
-
-    def run(w):
-        _write_all(w, "".join(_format_levels(level, t, u)).encode(encoding))
-        return 0
-
-    started = _fork_piped(run, child_reads=False) if len(u) else None
-    if started is None:
-        yield None
-        return
-    pid, r = started
+def _write_with_helper(path: str, fh, level: str, t, u, solve, pid, rows, back):
+    """_write_trajectory's part once the helper pid is forked.  A helper
+    that has ended makes on_row meet a broken pipe, which ends the solve;
+    the helper's status then says how it ended."""
+    result = None
     try:
-        with os.fdopen(r, "rb") as pipe:
-            yield pipe
+        with os.fdopen(back, "rb") as pipe:
+            with os.fdopen(rows, "wb", 0) as w, contextlib.suppress(BrokenPipeError):
+                result = solve(u, lambda j: w.write(b"\0")) if solve else None
+            head = pipe.read(8)
+            if len(head) == 8:  # else the helper has ended
+                d = int.from_bytes(head, "little")
+                k = d + (len(u) - d) // 2
+                fh.seek(0, os.SEEK_END)
+                fh.writelines(_format_levels(level, t[d:k], u[d:k]))
+                fh.flush()
+                shutil.copyfileobj(pipe, fh.buffer, 1 << 16)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        code = _exit_code(pid)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # minus a killing signal
     if code:
-        raise _helper_failed(path, code)
-
-
-def _write_levels(fh, path: str, level: str, t, u: np.ndarray, k: int) -> None:
-    """Append the levels (t, u) to fh: this process streams rows :k one
-    level at a time, while a forked helper formats rows k: (none where k =
-    len(u) or no helper can be started), whose bytes it then copies from a
-    pipe, so it never holds them."""
-    with _helper(path, level, t[k:], u[k:], fh.encoding) as pipe:
-        k = len(u) if pipe is None else k
-        fh.writelines(_format_levels(level, t[:k], u[:k]))
-        if pipe is not None:
-            fh.flush()
-            shutil.copyfileobj(pipe, fh.buffer, 1 << 16)
-
-
-def _write_trajectory(out: str, name: str, u: np.ndarray, cfg: ExperimentConfig) -> None:
-    """Rows t,x,u in write_csv's format, one _levels template per time
-    level.  On a large trajectory (see _two_processes) a forked helper
-    formats the second half of the rows while this process writes the
-    first; the split changes no byte of the file."""
-    path = os.path.join(out, name)
-    level, t = _levels(cfg.grid)
-    with _open_out(path) as fh:
-        fh.write("t,x,u\n")
-        k = len(u) // 2 if _two_processes(u.size) else len(u)
-        _write_levels(fh, path, level, t, u, k)
-
-
-def _stream_rows(fd: int, r: int, ctl, level: str, t, u, encoding: str) -> int:
-    """A streaming helper's work: write the text of the levels (t[j], u[j])
-    to fd in order as the parent reports each row final, with one byte on
-    the pipe r, reading the pipe only once it has caught up.  It stops at a
-    row boundary once the parent sets ctl[0], with ctl[1] the rows written,
-    and returns its exit code: 1 where the pipe ends before the stop flag
-    is set, since the parent is gone."""
-    done = known = 0
-    while not ctl[0]:
-        if done == known:
-            got = os.read(r, 1 << 16)
-            if not got:
-                return 0 if ctl[0] else 1
-            known += len(got)
-            continue
-        end = min(known, done + _STREAM_ROWS)
-        text = "".join(_format_levels(level, t[done:end], u[done:end]))
-        _write_all(fd, text.encode(encoding))
-        done = ctl[1] = end
-    return 0
-
-
-@contextlib.contextmanager
-def _row_stream(path: str, fh, level: str, t, u: np.ndarray, ctl):
-    """on_row for forward_solve_nonlinear, filling u: a forked helper writes
-    row j of u into fh's file once on_row(j) reports it final (see
-    _stream_rows), until the body ends; then ctl[1] counts the rows it
-    wrote.  None where no helper can be started.  An exception in the body
-    kills the helper; it is reaped on every exit, and one that failed, also
-    seen as a BrokenPipeError in on_row, is a ConfigError for path."""
-    started = _fork_piped(
-        lambda r: _stream_rows(fh.fileno(), r, ctl, level, t, u, fh.encoding),
-        child_reads=True,
-    )
-    if started is None:
-        yield None
-        return
-    pid, w = started
-
-    def on_row(j: int) -> None:
-        os.write(w, b"\0")
-
-    try:
-        try:
-            yield on_row
-        finally:
-            ctl[0] = 1  # before the pipe ends, which the helper then reads as a stop
-            os.close(w)
-    except BaseException as exc:
-        gone = isinstance(exc, BrokenPipeError)  # the helper ended; its status says how
-        if not gone:
-            os.kill(pid, signal.SIGKILL)
-        code = _exit_code(pid)
-        if gone and code:
-            raise _helper_failed(path, code) from exc
-        raise
-    code = _exit_code(pid)
-    if code:
-        raise _helper_failed(path, code)
-
-
-def _solve_streamed(path: str, cfg: ExperimentConfig, op) -> tuple:
-    """(final L2 norm, solve seconds) of the nonlinear forward solve, whose
-    trajectory is written to path while it is solved.
-
-    u lives in an anonymous shared mapping after two int64 slots, the
-    helper's stop flag and its row count F.  A helper forked before the
-    solve writes each row as the stepper reports it final (_row_stream);
-    the header is written and flushed before, so an unusable path fails
-    here.  After the solve this process stops and reaps the helper and
-    writes rows F: at the end of the file with _write_levels, a second
-    helper taking the upper half.  The file is byte for byte the one
-    _write_trajectory writes.  A solver error kills the helper and removes
-    the file (_open_out), and the mapping is closed before returning."""
-    import mmap
-
-    grid = cfg.grid
-    shape = (grid.nt + 1, grid.nx + 1)
-    level, t = _levels(grid)
-    shared = mmap.mmap(-1, 8 * (2 + shape[0] * shape[1]))
-    try:
-        with _open_out(path) as fh:
-            fh.write("t,x,u\n")
-            fh.flush()
-            ctl = np.frombuffer(shared, np.int64, 2)
-            u = np.frombuffer(shared, float, offset=16).reshape(shape)
-            with _row_stream(path, fh, level, t, u, ctl) as on_row:
-                t0 = time.perf_counter()
-                forward_solve_nonlinear(cfg.problem, None, grid, op, out=u, on_row=on_row)
-                wall = time.perf_counter() - t0
-            done = int(ctl[1])
-            fh.seek(0, os.SEEK_END)
-            _write_levels(fh, path, level, t[done:], u[done:], (shape[0] - done) // 2)
-        final = l2_norm(u[-1], grid)
-        del ctl, u  # the views of the mapping, which close() refuses to outlive
-    finally:
-        with contextlib.suppress(BufferError):  # views a traceback holds: freed with it
-            shared.close()
-    return final, wall
+        how = f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"
+        raise ConfigError(path, f"cannot write the output file: its helper process {how}")
+    return result
 
 
 def cmd_solve_forward(cfg: ExperimentConfig, out: str, quiet: bool) -> int:
     """Nonlinear forward solve; writes trajectory.csv and summary.json.
 
-    A trajectory that _write_trajectory would write by two processes is
-    written while it is solved (_solve_streamed), on the CPU the solve
-    leaves idle.  Any other is solved first and written by
-    _write_trajectory.  Both give the same bytes."""
+    The solve runs inside _write_trajectory, so a large trajectory's helper
+    writes the rows as the stepper reports them final, on the CPU the solve
+    leaves idle; the bytes are those of a solve followed by a write."""
     grid = cfg.grid
     op = assemble_degenerate_operator(cfg.problem.a, grid)
-    if _two_processes((grid.nt + 1) * (grid.nx + 1)):
-        final, wall = _solve_streamed(os.path.join(out, "trajectory.csv"), cfg, op)
-    else:
+
+    def solve(u, on_row):
         t0 = time.perf_counter()
-        u = forward_solve_nonlinear(cfg.problem, None, grid, op)
+        forward_solve_nonlinear(cfg.problem, None, grid, op, out=u, on_row=on_row)
         wall = time.perf_counter() - t0
-        _write_trajectory(out, "trajectory.csv", u, cfg)
-        final = l2_norm(u[-1], grid)
-    _write_summary(
-        out, cfg, "solve-forward",
-        {"final_l2_norm": final, "wall_seconds": wall},
-    )
+        return l2_norm(u[-1], grid), wall
+
+    final, wall = _write_trajectory(out, "trajectory.csv", None, cfg, solve)
+    _write_summary(out, cfg, "solve-forward", {"final_l2_norm": final, "wall_seconds": wall})
     if not quiet:
         print(f"solve-forward: |u(T)|_L2 = {final:.6e}  ({wall:.2f}s)")
     return EXIT_OK
@@ -566,15 +486,16 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, quiet: bool, args) -> int:
     if not values:
         raise ConfigError("sweep.values", "empty --values list")
     base = args.base
-    parsed = []
-    for v in values:
+    tasks, subs = [], set()
+    for text in values:
         try:
-            parsed.append(json.loads(v))
+            v = json.loads(text)
         except json.JSONDecodeError:
-            parsed.append(v)
-    tasks = []
-    for v in parsed:
+            v = text
         sub = os.path.join(out, f"{args.axis.replace('.', '_')}={v}")
+        if os.path.normpath(sub) in subs:  # two runs would write one directory
+            raise ConfigError("sweep.values", f"{v!r} repeats the run directory {sub}")
+        subs.add(os.path.normpath(sub))
         raw = _set_path(cfg.raw, args.axis, v)
         parse_config(raw)  # a config error exits before any run directory exists
         tasks.append((raw, base, v, sub, True))
@@ -597,7 +518,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, quiet: bool, args) -> int:
         ["axis", "value", "exit_code", "metric", "wall_seconds"],
         rows,
     )
-    _write_summary(out, cfg, "sweep", {"axis": args.axis, "values": parsed, "base": base})
+    payload = {"axis": args.axis, "values": [task[2] for task in tasks], "base": base}
+    _write_summary(out, cfg, "sweep", payload)
     if not quiet:
         print(f"sweep over {args.axis}: {len(rows)} runs, worst exit code {worst}")
     return worst

@@ -1,8 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import os
 import pathlib
+import resource
 import signal
 import subprocess
 import sys
@@ -453,6 +455,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: --jobs:")
         assert list(out.iterdir()) == []
 
+    def test_sweep_repeated_value_is_config_error(self, tmp_path, capsys):
+        # these used to run three times into one directory, two at once, and
+        # sweep.csv's rows read whichever run wrote its summary last
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--axis", "discretization.nx",
+             "--values", "16,16, 16", "--jobs", "2", "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "config error: sweep.values: 16 repeats the " \
+            f"run directory {out / 'discretization_nx=16'}\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "command, name, helper",
@@ -466,8 +482,8 @@ class TestExitCodes:
     ):
         # a full disk used to escape as OSError with a traceback, which exits 1
         if helper:
-            # a helper that would format for a minute: the failed write kills
-            # it, and a streamed solve fails at its header, before any fork
+            # a helper that would format for a minute: a write that needs it
+            # fails at its header, which is flushed before any fork
             _force_split(monkeypatch)
             _first_in_helper(monkeypatch, lambda: time.sleep(60))
         counted = _counting_forks(monkeypatch)
@@ -481,7 +497,7 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert err == f"config error: {out / name}: cannot write the output file: " \
             "No space left on device\n"
-        assert len(counted) == (helper == "split")
+        assert len(counted) == 0
         assert (out / name).is_symlink()  # not a regular file: left alone
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -834,8 +850,8 @@ class TestTrajectoryWriter:
         assert (out / "trajectory.csv").read_bytes().count(b"\n") == u.size + 1
 
     def test_streamed_solve_forward_matches_serial(self, tmp_path, monkeypatch):
-        # a helper slower than the stepper: the streaming helper writes the
-        # first rows, then this process and a second helper the rest
+        # a helper slower than the stepper: it writes the first rows, then
+        # this process and it the rest
         cfg = write_cfg(tmp_path, {"discretization.nx": 32, "discretization.nt": 96})
         runs = {}
         for name, cpus in (("serial", {0}), ("streamed", {0, 1})):
@@ -860,13 +876,63 @@ class TestTrajectoryWriter:
             summary = json.loads((out / "summary.json").read_text())
             runs[name] = (len(counted), (out / "trajectory.csv").read_bytes(),
                           summary["final_l2_norm"], solved[0])
-        assert runs["serial"][0] == 0 and runs["streamed"][0] == 2
+        assert runs["serial"][0] == 0 and runs["streamed"][0] == 1
         assert runs["streamed"][1:3] == runs["serial"][1:3]
         grid = parse_config(json.loads(pathlib.Path(cfg).read_text())).grid
         u = runs["streamed"][3]
         rows = zip(np.repeat(grid.t, grid.nx + 1), np.tile(grid.x, grid.nt + 1), u.ravel())
         write_csv(str(tmp_path / "old.csv"), ["t", "x", "u"], rows)
         assert runs["streamed"][1] == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize(
+        "command, names",
+        [("solve-forward", ["trajectory.csv"]), ("null-control", ["state.csv", "control.csv"])],
+    )
+    def test_no_helper_writes_serially(self, tmp_path, monkeypatch, command, names):
+        # where no process can be started, this process writes every row and
+        # leaves no pipe open
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 32})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "serial"),
+                     "--quiet"]) == 0
+        _force_split(monkeypatch)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "nofork"),
+                     "--quiet"]) == 0
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        for name in names:
+            assert (tmp_path / "nofork" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork")
+        or resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100,
+        reason="needs fork and 1,100 open files",
+    )
+    def test_streams_past_fd_1023(self, tmp_path, monkeypatch):
+        # with 1,030 files open the helper's pipes get numbers that select()
+        # refuses: the helper must still look at its pipe between blocks
+        cfg = write_cfg(tmp_path, {"discretization.nx": 16, "discretization.nt": 64})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["solve-forward", "--config", cfg, "--out", str(tmp_path / "ref"),
+                     "--quiet"]) == 0
+        _force_split(monkeypatch)
+        _first_in_helper(monkeypatch, lambda: time.sleep(0.001))  # a helper that lags
+        held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1030)]
+        try:
+            assert main(["solve-forward", "--config", cfg, "--out", str(tmp_path / "many"),
+                         "--quiet"]) == 0
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert (tmp_path / "many" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "ref" / "trajectory.csv").read_bytes()
 
     def test_streamed_bytes_hold_wherever_the_helper_stops(self, tmp_path, monkeypatch):
         # helpers of several speeds hand over at different rows, or finish
